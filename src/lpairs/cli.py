@@ -58,8 +58,8 @@ def _parse_t_list(text: str) -> list[float]:
         values = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise PreconditionError(f"--T expects a number or comma list, got {text!r}")
-    if not values or any(v <= 0 for v in values):
-        raise PreconditionError(f"--T values must be positive, got {text!r}")
+    if not values or not all(0 < v < math.inf for v in values):
+        raise PreconditionError(f"--T values must be positive and finite, got {text!r}")
     return values
 
 

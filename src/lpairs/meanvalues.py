@@ -589,7 +589,7 @@ class MeanValueReport:
         cells = [self.t, self.n_zeros, self.sum_a.real, self.sum_a.imag,
                  self.sum_abs_a2, self.predicted_c.real, self.predicted_c.imag,
                  self.lower_bound_count, frac]
-        return ",".join(repr(c) if isinstance(c, float) else str(c) for c in cells)
+        return ",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in cells)
 
 
 def _map_ordered_chunks(worker, gammas: np.ndarray, parallel: bool) -> list:

@@ -8,9 +8,17 @@ tested domain); zeta and Hurwitz zeta are Euler-Maclaurin with an
 explicit Backlund remainder bound plus a rounding allowance, and the
 certified-bound variants return that bound alongside the value.
 
-Only double precision is used; at desk scale (|Im s| <= 1e4) Euler-
-Maclaurin with N ~ 0.62*|t| terms is fast enough and has a rigorous
-remainder, which is why it is preferred over saddle-point formulas.
+Only double precision is used.  Euler-Maclaurin needs N ~ 0.62*|t|
+terms; it is the route for zeta, Hurwitz zeta, the scalar hardy_z and
+the zero engine's Z below t = 200.  From t = 200 the zero engine's
+batched Z takes the Riemann-Siegel formula with the corrections C_0..C_4
+(about sqrt(t/2pi) terms) and certifies each value with Gabcke's
+remainder bound |R_4(t)| <= 0.017 t^(-11/4) plus a float-rounding
+allowance B_RS.  A value too close to zero for that certificate to fix
+its sign, |Z_RS| <= B_RS + B_EM with B_EM the a priori Euler-Maclaurin
+bound, is recomputed by Euler-Maclaurin, so every sign the batch returns
+is the Euler-Maclaurin sign; one Riemann-Siegel value per batch is
+audited against Euler-Maclaurin.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .errors import (
 
 _EPS = 2.220446049250313e-16
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_EULER_GAMMA = 0.5772156649015329
 
 # Lanczos g=7, 9-term coefficient set (15-digit accuracy for Re z >= 1.5).
 _LANCZOS_G = 7.0
@@ -65,6 +74,71 @@ _B2K_OVER_FACT = (
     1.5824030244644914e-43, -4.008273685948936e-45,
     1.0153075855569557e-46, -2.5718041582418717e-48,
     6.514456035233815e-50, -1.6501309906896525e-51,
+)
+
+# Riemann-Siegel corrections C_0..C_4 as polynomials in x = p - 1/2, with
+# p = frac(sqrt(t / 2pi)).  They come from the Taylor coefficients at
+# p = 1/2 of Psi(p) = cos 2pi(p^2 - p - 1/16) / cos 2pi p and of its
+# derivatives up to order 12:
+#   C0 = Psi,  C1 = -Psi''' / (96 pi^2),
+#   C2 = Psi'' / (64 pi^2) + Psi^(6) / (18432 pi^4),
+#   C3 = -Psi' / (64 pi^2) - Psi^(5) / (3840 pi^4) - Psi^(9) / (5308416 pi^6),
+#   C4 = Psi / (128 pi^2) + 19 Psi^(4) / (24576 pi^4)
+#        + 11 Psi^(8) / (5898240 pi^6) + Psi^(12) / (2038431744 pi^8).
+# C_k has the parity of k about p = 1/2, so row k holds the coefficients
+# of x^(k mod 2), x^(k mod 2 + 2), ...; each row is cut where the dropped
+# tail is below 1e-18 on |x| <= 1/2.  tests/test_specfun.py re-derives
+# the table with mpmath.
+_RS_C = (
+    (  # C0
+        0.3826834323650898, 1.7489618723100817, 2.118025207685496,
+        -0.8707216670511481, -3.4733112243465167, -1.6626947308999325,
+        1.216731288919232, 1.3014304161007977, 0.03051102182736167,
+        -0.3755803051545095, -0.1085784416564066, 0.051832902999549624,
+        0.029999480619902277, -0.0022759396706125644, -0.004382647416580339,
+        -0.0004064230183729847, 0.0004006097785422114, 8.971057991388841e-05,
+        -2.3025650027239108e-05, -9.380006601906792e-06,
+    ),
+    (  # C1
+        -0.053650205256750697, 0.11027818741081483, 1.2317200154315227,
+        1.2634964862799458, -1.695108997559503, -2.9998711967650102,
+        -0.10819944959899208, 1.9407662946212714, 0.7838423561500687,
+        -0.5054829667900366, -0.38450723496057976, 0.03747264646531532,
+        0.09092026610973176, 0.01044923755006451, -0.012582979651583417,
+        -0.003399503721151274, 0.0010410950537714891, 0.0005010949051118486,
+        -3.956359669003182e-05, -4.7624592453571896e-05,
+        -1.8539355338085133e-06,
+    ),
+    (  # C2
+        0.005188542830293168, 0.0012378633552253898, -0.18137505725166997,
+        0.14291492748532125, 1.3303391766687565, 0.3522472353403734,
+        -2.421001595891951, -1.6760787022538108, 1.3689416723328371,
+        1.5539019430222982, -0.1722164273472998, -0.6359068055045431,
+        -0.09911649873041208, 0.14033480067387008, 0.04782352019827292,
+        -0.017356040641479782, -0.010225012534028593, 0.0009274149159794888,
+        0.0013572194372373386, 6.41369012029388e-05, -0.0001230080569819663,
+        -1.83135074047892e-05,
+    ),
+    (  # C3
+        -0.0026794321814389136, 0.02995372109103515, -0.042570172541828696,
+        -0.28997965779803886, 0.4888831999235446, 1.230855876395746,
+        -0.8297560708527408, -2.249763536666567, 0.07845139961005472,
+        1.7467492800868893, 0.45968080979749937, -0.6619353471039775,
+        -0.31590441036173633, 0.12844792545207495, 0.10073382716626152,
+        -0.009530183848825268, -0.019264421687514088, -0.001246463715876929,
+        0.0024243969641103086, 0.000437647697741857, -0.00020714032687001792,
+        -6.274344504186516e-05,
+    ),
+    (  # C4
+        0.00046483389361763383, -0.004022642946136188, 0.003847177051796127,
+        0.06581175135809486, -0.19604124343694448, -0.20854053686358853,
+        0.9507754185141751, 0.5341535312914873, -1.67634944117634,
+        -1.076747157875129, 1.235339301656597, 1.0257825340057276,
+        -0.40124095793988546, -0.5036663995108304, 0.03573487795502745,
+        0.14431763086785418, 0.01509152741790347, -0.026098874779194363,
+        -0.006126628379519262, 0.003077503129870841, 0.0011562478934088753,
+        -0.00022775966758472127, -0.00014189637118181445,
+    ),
 )
 
 
@@ -239,9 +313,17 @@ def _zeta_critical_batch(ts: np.ndarray, tol: float = 1e-11):
             break
     if trunc is None:
         raise AccuracyLoss(f"batch Euler-Maclaurin stalled near t={tmax}")
-    rounding = (_EPS * (tmax + 2.0) * math.log(na + 2.0)
-                * math.sqrt(float(np.sum(n ** -1.0)) + 1.0))
-    return values, trunc + 4.0 * rounding
+    return values, trunc + 4.0 * _em_rounding(tmax, n_terms)
+
+
+def _em_rounding(tmax: float, n_terms: int) -> float:
+    """Rounding allowance of the critical-line Euler-Maclaurin zeta sum
+    with n_terms terms at heights <= tmax (phase error ~ t log n * eps
+    per term, root-sum-square over the terms; sum_{n<=N} 1/n is bounded
+    by log N + gamma + 1/2N)."""
+    harmonic = math.log(n_terms) + _EULER_GAMMA + 0.5 / n_terms
+    return (_EPS * (tmax + 2.0) * math.log(n_terms + 3.0)
+            * math.sqrt(harmonic + 1.0))
 
 
 def _hurwitz_critical_batch(ts: np.ndarray, a: float, tol: float = 1e-11):
@@ -295,14 +377,116 @@ def hardy_z(t: float, tol: float = 1e-12) -> float:
     return z.real
 
 
-def _hardy_z_batch(ts: np.ndarray, tol: float = 1e-11) -> np.ndarray:
-    """Vectorised Z over an ascending batch of heights >= 10."""
+# Riemann-Siegel Z is certified for t >= 200, where Gabcke's bound on the
+# remainder after C_4 holds: |R_4(t)| <= 0.017 t^(-11/4).
+_RS_T_MIN = 200.0
+_RS_R4 = 0.017
+
+
+def _em_critical_bound(tmax: float, tol: float) -> float:
+    """A priori error bound of Euler-Maclaurin Z in a batch topped at tmax.
+
+    It adds the truncation tolerance and the 4x rounding allowance of
+    _zeta_critical_batch to the float error of theta(tmax) (1 ulp per
+    operation of _theta_array, doubled; the omitted t^-9 term of the
+    expansion is below 1e-23).  A theta error only turns Z into
+    Z cos(error), so this last term also covers the rounding of
+    e^{i theta} zeta while |zeta| < 1000.
+    """
+    n_terms = max(20, int(math.ceil(0.62 * tmax)) + 8)
+    theta_err = 3.0 * _EPS * tmax * (math.log(tmax / (2.0 * math.pi)) + 2.0)
+    return tol + 4.0 * _em_rounding(tmax, n_terms) + theta_err
+
+
+def _rs_z_batch(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, certified bound) by Riemann-Siegel with C_0..C_4, heights >= 200.
+
+    Z(t) = 2 sum_{n<=N} n^{-1/2} cos(theta(t) - t log n)
+           + (-1)^(N-1) tau^{-1/2} sum_k C_k(p) tau^{-k} + R_4(t),
+    tau = sqrt(t/2pi), N = floor(tau), p = tau - N.  The phase is formed
+    as t log(tau/n) - t/2 - pi/8 + (theta's 1/t tail), so its float
+    error is at most eps (t (4.5 + 4 log(tau/n)) + 3) (1 ulp per
+    operation, doubled).  The bound adds Gabcke's R_4, that phase error
+    plus the cos, product and summation rounding of each term, and the
+    rounding of the corrections (|C_k'| summed over k is below 4.4 on
+    0 <= p <= 1, |C_k| summed below 1.2).
+    """
+    tau = np.sqrt(ts / (2.0 * math.pi))
+    n_top = np.floor(tau)
+    x = tau - n_top - 0.5
+    n = np.arange(1.0, float(n_top.max()) + 1.0)
+    amp = np.where(n <= n_top[:, None], n ** -0.5, 0.0)
+    log_ratio = np.log(tau[:, None] / n)
+    tail = (1.0 / 48.0) / ts + (7.0 / 5760.0) / ts ** 3
+    tail += (31.0 / 80640.0) / ts ** 5 + (127.0 / 430080.0) / ts ** 7
+    phase = ts[:, None] * log_ratio - (0.5 * ts + math.pi / 8.0 - tail)[:, None]
+    main = 2.0 * np.sum(amp * np.cos(phase), axis=1)
+
+    x2 = x * x
+    inv_tau = 1.0 / tau
+    corr = np.zeros_like(ts)
+    for k in range(4, -1, -1):
+        poly = np.zeros_like(ts)
+        for c in reversed(_RS_C[k]):
+            poly = poly * x2 + c
+        corr = corr * inv_tau + (poly * x if k % 2 else poly)
+    sign = np.where(n_top % 2.0 == 1.0, 1.0, -1.0)
+    z = main + sign * corr / np.sqrt(tau)
+
+    amp_sum = np.sum(amp, axis=1)
+    phase_err = ts * (4.5 * amp_sum + 4.0 * np.sum(amp * log_ratio, axis=1))
+    bound = (_RS_R4 * ts ** -2.75
+             + 2.0 * _EPS * (phase_err + (n_top + 8.0) * amp_sum)
+             + _EPS * (9.0 * tau + 60.0) * np.sqrt(inv_tau))
+    return z, bound
+
+
+def _hardy_z_em(ts: np.ndarray, tol: float) -> np.ndarray:
+    """Euler-Maclaurin Z over an ascending batch; the imaginary residue of
+    e^{i theta} zeta is an accuracy check (AccuracyLoss above 1e-6)."""
     zeta_vals, _ = _zeta_critical_batch(ts, tol)
     z = np.exp(1j * _theta_array(ts)) * zeta_vals
     worst = float(np.max(np.abs(z.imag)))
     if worst > 1e-6:
         raise AccuracyLoss(f"batch Z imaginary residue {worst:.3e}")
     return z.real
+
+
+def _hardy_z_batch(ts: np.ndarray, tol: float = 1e-11) -> np.ndarray:
+    """Vectorised Z over an ascending batch of heights >= 10.
+
+    Heights t >= 200 take the Riemann-Siegel kernel with its certified
+    bound B_RS.  A height falls back to Euler-Maclaurin (EM) when t < 200
+    or |Z_RS| <= B_RS + B_EM, B_EM being the a priori EM bound of the
+    batch; every Z_RS returned therefore has the sign EM would give.  The
+    fallbacks share one EM call with an audit of the largest Riemann-
+    Siegel height, which raises AccuracyLoss when the two routes differ
+    by more than B_RS + B_EM.  That EM call is topped by the batch's
+    largest height, so it uses the same number of terms as an EM call on
+    the whole batch.
+    """
+    ts = np.asarray(ts, dtype=float)
+    use_em = ts < _RS_T_MIN
+    rs = np.nonzero(~use_em)[0]
+    if len(rs) == 0:
+        return _hardy_z_em(ts, tol)
+    z_rs, b_rs = _rs_z_batch(ts[rs])
+    allowed = b_rs + _em_critical_bound(float(ts[-1]), tol)
+    certified = np.abs(z_rs) > allowed
+    if not certified.any():
+        return _hardy_z_em(ts, tol)
+    use_em[rs[~certified]] = True
+    audit = int(np.nonzero(certified)[0][-1])
+    use_em[rs[audit]] = True
+    z = np.empty_like(ts)
+    z[rs] = z_rs
+    z[use_em] = _hardy_z_em(ts[use_em], tol)
+    gap = abs(z[rs[audit]] - z_rs[audit])
+    if gap > allowed[audit]:
+        raise AccuracyLoss(
+            f"Riemann-Siegel Z at t={float(ts[rs[audit]])!r} is {gap:.3e} from "
+            f"Euler-Maclaurin Z (allowed {allowed[audit]:.3e})")
+    return z
 
 
 # --- functional-equation factor ----------------------------------------------

@@ -9,8 +9,6 @@ the combine order is fixed.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def neumaier_sum(values) -> float:
     """Compensated sum of an iterable of floats, in iteration order."""
@@ -46,18 +44,3 @@ def neumaier_sum_complex(values) -> complex:
         ti = t
     return complex(tr + cr, ti + ci)
 
-
-def chunked_sum(array: np.ndarray, chunk: int = 1 << 16):
-    """Deterministic sum of a 1-d numpy array.
-
-    Fixed chunk boundaries, numpy pairwise summation inside each chunk,
-    Neumaier accumulation across chunks in ascending order.  The result
-    does not depend on how (or whether) chunk evaluation is parallelised.
-    """
-    n = len(array)
-    if n == 0:
-        return array.dtype.type(0)
-    partials = [np.sum(array[lo:lo + chunk]) for lo in range(0, n, chunk)]
-    if np.iscomplexobj(array):
-        return neumaier_sum_complex(partials)
-    return neumaier_sum(partials)

@@ -1,9 +1,16 @@
 """Ordered Riemann-zero ordinates: file ingestion and direct computation.
 
 Zeros are located as sign changes of Hardy's Z on an adaptive grid and
-refined by bisection; completeness is certified by the Riemann-von
-Mangoldt count (not Turing's method -- at desk heights the RvM band with
-slack 2 + 0.5 log T is empirically sufficient and far simpler).  All
+refined by bisection.  Z comes from specfun._hardy_z_batch: Riemann-
+Siegel with a certified remainder from t = 200, Euler-Maclaurin below
+that and wherever |Z| is too small for the Riemann-Siegel certificate to
+fix its sign.  The engine reads only signs, and each sign is the one
+Euler-Maclaurin gives, so the grid, the bisection and the gap audit
+decide exactly as an Euler-Maclaurin-only engine would.
+
+Completeness is certified by the Riemann-von Mangoldt count (not
+Turing's method -- at desk heights the RvM band with slack
+2 + 0.5 log T is empirically sufficient and far simpler).  All
 downstream sums only need a complete ordered list.
 
 Ordinate precision target is 1e-9: downstream terms x^{i gamma} with
@@ -133,8 +140,9 @@ def _rvm_coverage(gammas: np.ndarray) -> float:
 def load_zeros(path, precision: float = 1e-9) -> ZeroTable:
     """Parse a whitespace-separated ordinate file ('#' comments allowed).
 
-    Accepts the common public zero-table dumps unmodified.  The parsed
-    table is validated: strictly ascending, all entries above the first-
+    Accepts the common public zero-table dumps unmodified; a token that
+    is not a finite number (including nan and inf) is a ParseError with
+    its line number.  The parsed table is validated: strictly ascending, all entries above the first-
     zero floor, and the RvM count band holds at every ordinate.
     """
     values = []
@@ -145,9 +153,12 @@ def load_zeros(path, precision: float = 1e-9) -> ZeroTable:
                 continue
             for token in body.split():
                 try:
-                    values.append(float(token))
+                    value = float(token)
                 except ValueError:
                     raise ParseError(f"bad ordinate {token!r}", line=lineno)
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite ordinate {token!r}", line=lineno)
+                values.append(value)
     gammas = np.asarray(values, dtype=float)
     _validate_ordinates(gammas, str(path), precision)
     # an empty file is a valid (vacuous) table: N(T) = 0 for every T

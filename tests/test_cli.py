@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from lpairs.cli import run
+from lpairs.cli import _parse_t_list, run
+from lpairs.errors import PreconditionError
 
 
 @pytest.fixture()
@@ -117,3 +118,30 @@ def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "lpairs.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "100,inf", "-inf"])
+def test_config_error_non_finite_t(zero_file, value):
+    with pytest.raises(PreconditionError):
+        _parse_t_list(value)
+    assert run(["landau", "--x", "2", "--T", value, "--zeros", zero_file]) == 1
+
+
+def test_io_error_non_finite_ordinate(tmp_path):
+    bad = tmp_path / "nan.txt"
+    bad.write_text("14.134725141\nnan\n")
+    assert run(["landau", "--x", "2", "--T", "100", "--zeros", str(bad)]) == 3
+
+
+@pytest.mark.parametrize("command", ["thm1", "thm2"])
+def test_csv_cells_are_plain_numbers(zero_file, tmp_path, command):
+    out = tmp_path / f"{command}.csv"
+    assert run([command, "--T", "50,100", "--char1", "3:1", "--char2", "5:2",
+                "--zeros", zero_file, "--output", str(out)]) == 0
+    header, *rows = out.read_text().strip().splitlines()
+    assert len(rows) == 2
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == len(header.split(","))
+        for cell in cells:
+            float(cell)

@@ -1,12 +1,16 @@
 import cmath
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from lpairs import specfun
 from lpairs.characters import character
 from lpairs.errors import (
+    AccuracyLoss,
     DomainTooSmall,
     OutOfStrip,
     PoleAtNonPositiveInteger,
@@ -234,3 +238,104 @@ class TestXFactor:
             scaled.sort()
             median = scaled[len(scaled) // 2]
             assert scaled[-1] <= 5.0 * median
+
+
+def _rs_coefficients_from_psi(degree):
+    """C_0..C_4 Taylor coefficients in x = p - 1/2, re-derived from Psi.
+
+    Psi(p) = cos 2pi(p^2 - p - 1/16) / cos 2pi p is expanded at p = 1/2 by
+    mpmath.taylor; Psi^(m) has x^j coefficient a_{j+m} (j+m)!/j!, and the
+    C_k combine the derivatives with Gabcke's weights.
+    """
+    with mp.workdps(60):
+        psi = lambda p: (mp.cos(2 * mp.pi * (p * p - p - mp.mpf(1) / 16))
+                         / mp.cos(2 * mp.pi * p))
+        a = mp.taylor(psi, mp.mpf(1) / 2, degree + 12)
+        pi = mp.pi
+        weights = (
+            ((1, 0),),
+            ((-1 / (96 * pi ** 2), 3),),
+            ((1 / (64 * pi ** 2), 2), (1 / (18432 * pi ** 4), 6)),
+            ((-1 / (64 * pi ** 2), 1), (-1 / (3840 * pi ** 4), 5),
+             (-1 / (5308416 * pi ** 6), 9)),
+            ((1 / (128 * pi ** 2), 0), (19 / (24576 * pi ** 4), 4),
+             (11 / (5898240 * pi ** 6), 8), (1 / (2038431744 * pi ** 8), 12)),
+        )
+        return [[sum(w * a[j + m] * mp.factorial(j + m) / mp.factorial(j)
+                      for w, m in row) for j in range(degree + 1)]
+                for row in weights]
+
+
+# 30-digit-working mpmath.siegelz is exact at double precision here
+RS_HEIGHTS = (200.0, 200.5, 226.1946710584651, 263.7, 407.3, 600.0, 1000.0,
+              1234.567, 1777.7, 2500.0, 3141.59, 4000.25, 5000.0, 5555.5,
+              6283.185, 7005.1, 7777.7, 8600.3, 9400.0, 1e4)
+
+
+class TestRiemannSiegel:
+    def test_coefficient_table_rederived_from_psi(self):
+        derived = _rs_coefficients_from_psi(70)
+        deriv_sum = corr_sum = mp.mpf(0)
+        for k, (row, ref) in enumerate(zip(specfun._RS_C, derived)):
+            powers = range(k % 2, 71, 2)
+            assert all(abs(ref[j]) < 1e-40 for j in range(1 - k % 2, 71, 2))
+            for c, j in zip(row, powers):
+                assert abs(c - ref[j]) <= 2e-16 * abs(ref[j])
+            # the table stops where the dropped tail is below 1e-18 on |x| <= 1/2
+            last = k % 2 + 2 * (len(row) - 1)
+            tail = sum(abs(ref[j]) * mp.mpf(2) ** -j for j in range(last + 2, 71, 2))
+            assert tail < 1e-18
+            assert abs(ref[last]) * mp.mpf(2) ** -last > 1e-21
+            corr_sum += sum(abs(ref[j]) * mp.mpf(2) ** -j for j in range(71))
+            deriv_sum += sum(j * abs(ref[j]) * mp.mpf(2) ** (1 - j) for j in range(1, 71))
+        # constants the rounding term of the kernel's bound relies on
+        assert corr_sum < 1.2
+        assert deriv_sum < 4.4
+
+    def test_kernel_within_bound_of_siegelz(self):
+        ts = np.array(RS_HEIGHTS)
+        z, bound = specfun._rs_z_batch(ts)
+        for t, got, b in zip(ts, z, bound):
+            ref = float(mp.siegelz(mp.mpf(float(t))))
+            assert abs(got - ref) <= b
+            # Gabcke's R_4 dominates near 200, float rounding near 1e4
+            assert b <= 1e-8
+
+    def test_batch_signs_are_euler_maclaurin_signs(self):
+        ts = np.linspace(180.0, 9000.0, 401)
+        hybrid = specfun._hardy_z_batch(ts)
+        em = specfun._hardy_z_em(ts, 1e-11)
+        assert np.array_equal(np.sign(hybrid), np.sign(em))
+        assert np.max(np.abs(hybrid - em)) < 1e-8
+
+    def test_audit_fires_on_perturbed_coefficient(self, monkeypatch):
+        # a 2% error in the constant term of C2 moves Z by ~1e-7 at t = 1000
+        rows = [list(row) for row in specfun._RS_C]
+        rows[2][0] += 1e-4
+        monkeypatch.setattr(specfun, "_RS_C", tuple(tuple(r) for r in rows))
+        for lo in (1000.0, 5000.0, 9990.0):
+            with pytest.raises(AccuracyLoss):
+                specfun._hardy_z_batch(np.linspace(lo, lo + 1.0, 50))
+        t = 1000.0
+        z, bound = specfun._rs_z_batch(np.array([t]))
+        assert abs(z[0] - float(mp.siegelz(t))) > bound[0]
+
+    def test_audit_fires_without_gabcke_bound(self, monkeypatch):
+        # near t = 2 pi 36 the real R_4 remainder is ~4e-9; the rounding
+        # allowance alone (~1e-11) cannot cover it
+        ts = np.linspace(220.0, 2.0 * math.pi * 36.0, 25)
+        specfun._hardy_z_batch(ts)
+        monkeypatch.setattr(specfun, "_RS_R4", 0.0)
+        with pytest.raises(AccuracyLoss):
+            specfun._hardy_z_batch(ts)
+        z, bound = specfun._rs_z_batch(ts[-1:])
+        assert abs(z[0] - float(mp.siegelz(mp.mpf(float(ts[-1]))))) > bound[0]
+
+    def test_low_heights_stay_on_euler_maclaurin(self):
+        ts = np.linspace(10.0, 199.0, 300)
+        assert np.array_equal(specfun._hardy_z_batch(ts), specfun._hardy_z_em(ts, 1e-11))
+
+
+def test_import_does_not_load_mpmath():
+    code = "import sys, lpairs; sys.exit('mpmath' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

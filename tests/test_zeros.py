@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 
+from lpairs import specfun
+from lpairs import zeros as zeros_mod
 from lpairs.errors import (
     CountInconsistent,
     NonMonotonic,
@@ -139,3 +141,21 @@ def test_duplicates_within_precision_rejected(tmp_path):
     path.write_text("14.134725141\n14.1347251410000003\n21.022039639\n")
     with pytest.raises(NonMonotonic):
         load_zeros(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+def test_load_rejects_non_finite_with_line_number(tmp_path, token):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"14.134725141\n21.022039639\n{token}\n")
+    with pytest.raises(ParseError) as err:
+        load_zeros(path)
+    assert err.value.line == 3
+
+
+def test_hybrid_kernel_table_matches_euler_maclaurin(zeros1000, monkeypatch):
+    # every sign the Riemann-Siegel kernel returns is the Euler-Maclaurin
+    # sign, so grid, bisection and gap audit take the same decisions
+    monkeypatch.setattr(zeros_mod, "_hardy_z_batch",
+                        lambda ts, tol=1e-11: specfun._hardy_z_em(ts, tol))
+    em_only = compute_zeros(1000.0)
+    assert np.array_equal(em_only.ordinates, zeros1000.ordinates)
