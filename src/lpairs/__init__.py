@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .characters import (
     DirichletCharacter,
     character,
-    chi_eval,
     epsilon_factor,
     gauss_sum,
     parse_character,
@@ -40,7 +39,6 @@ from .meanvalues import (
     MeanValueReport,
     a1_gamma,
     build_b_polynomial,
-    coeff,
     predicted_constant,
     series_d,
     series_e,
@@ -54,4 +52,4 @@ from .specfun import (
     x_factor,
     zeta_em,
 )
-from .zeros import ZeroTable, compute_zeros, count, load_zeros
+from .zeros import ZeroTable, compute_zeros, load_zeros

@@ -130,11 +130,6 @@ def character(q: int, j: int) -> DirichletCharacter:
     return DirichletCharacter(modulus=q, index=j, generator=g, parity=parity)
 
 
-def chi_eval(chi: DirichletCharacter, n: int) -> complex:
-    """chi(n) as 0 or an exact root of unity (q-periodic in n)."""
-    return chi(n)
-
-
 def gauss_sum(k: int, chi: DirichletCharacter) -> complex:
     """G(k, chi) = sum_{a=1}^{q} chi(a) e^{2 pi i a k / q}, by the literal sum.
 

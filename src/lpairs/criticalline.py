@@ -38,12 +38,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .characters import DirichletCharacter, gauss_sum
 from .errors import OracleAuditFailure, PreconditionError, SearchExhausted
-from .lfunc import LValue, afe_remainder_bound, l_oracle, l_oracle_critical_batch
-from .meanvalues import _map_ordered_chunks
+from .lfunc import (
+    AfeWindows,
+    LValue,
+    afe_remainder_bound,
+    l_oracle,
+    l_oracle_critical_batch,
+)
+from .meanvalues import _audit_stride, _map_ordered_chunks
 from .primes import is_prime
 from .specfun import x_factor
 from .summation import neumaier_sum, neumaier_sum_complex
@@ -115,17 +119,8 @@ class ThmTwoEvaluator:
 
     def __init__(self, cfg: CriticalLineConfig, t_max: float):
         self.cfg = cfg
-        q, ell = cfg.chi1.modulus, cfg.chi2.modulus
-        self._root1 = math.sqrt(q / (2.0 * math.pi))
-        self._root2 = math.sqrt(ell / (2.0 * math.pi))
-        n_max = int(max(self._root1, self._root2) * math.sqrt(t_max)) + 2
-        n = np.arange(1, n_max + 1)
-        self._logn = np.log(n)
-        amp = n.astype(float) ** -0.5  # n^{-s} and n^{s-1} share it on the line
-        self._w1 = cfg.chi1.value_table()[n % q] * amp
-        self._v1 = np.conj(cfg.chi1.value_table())[n % q] * amp
-        self._w2 = cfg.chi2.value_table()[n % ell] * amp
-        self._v2 = np.conj(cfg.chi2.value_table())[n % ell] * amp
+        self._win1 = AfeWindows(cfg.chi1, 0.5, 1.0, t_max)
+        self._win2 = AfeWindows(cfg.chi2, 0.5, 1.0, t_max)
         self._log_p = math.log(cfg.p)
         self._amp_p = math.sqrt(cfg.p)
 
@@ -137,16 +132,10 @@ class ThmTwoEvaluator:
     def l_values(self, gamma: float) -> tuple[LValue, LValue]:
         s = complex(0.5, gamma)
         out = []
-        for chi, root, w, v in ((self.cfg.chi1, self._root1, self._w1, self._v1),
-                                (self.cfg.chi2, self._root2, self._w2, self._v2)):
-            k = math.floor(root * math.sqrt(gamma))
-            phases = np.exp(-1j * gamma * self._logn[:k])
-            # n^{s-1} = n^{-1/2} e^{i gamma log n} on the critical line
-            main = complex(np.sum(w[:k] * phases))
-            second = complex(np.sum(v[:k] * np.conj(phases)))
-            value = main + x_factor(s, chi) * second
-            out.append(LValue(value, afe_remainder_bound(0.5, gamma, chi.modulus, 1.0),
-                              "afe"))
+        for chi, win in ((self.cfg.chi1, self._win1), (self.cfg.chi2, self._win2)):
+            first, second = win.sums(gamma)
+            out.append(LValue(first + x_factor(s, chi) * second,
+                              afe_remainder_bound(0.5, gamma, chi.modulus, 1.0), "afe"))
         return out[0], out[1]
 
     def a_value(self, gamma: float) -> complex:
@@ -223,9 +212,9 @@ def thm2_report(zeros: ZeroTable, t: float, cfg: CriticalLineConfig,
     """
     if method not in ("afe", "oracle"):
         raise PreconditionError(f"method must be 'afe' or 'oracle', got {method!r}")
+    stride = _audit_stride(audit_rate)
     gammas = zeros.up_to(t)
     evaluator = ThmTwoEvaluator(cfg, t)
-    stride = int(round(1.0 / audit_rate)) if audit_rate > 0 else 0
 
     def worker(chunk):
         start, block = chunk

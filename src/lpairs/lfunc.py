@@ -13,8 +13,15 @@ carries a large margin).  Boundary terms with n = x integral are
 included in the first window; both windows use the same convention.
 Any real Delta >= 1 is accepted.
 
+The two window sums have one implementation, AfeWindows: a table of
+chi(n) n^{-sigma}, conj chi(m) m^{sigma-1} and log n for one character,
+sigma, Delta and t_max.  l_afe builds it for its single height; the
+thm1 and thm2 evaluators build it once for every height up to T.  The
+callers multiply the second sum by X(s, chi) and add the remainder bound.
+
 l_oracle is the slow independent evaluator through Hurwitz zeta:
 L(s, chi) = q^{-s} sum_{a=1}^{q} chi(a) zeta(s, a/q), certified to 1e-9.
+Its scalar route is the batched Euler-Maclaurin kernel on one height.
 """
 
 from __future__ import annotations
@@ -69,6 +76,38 @@ def afe_remainder_bound(sigma: float, t: float, q: int, delta: float) -> float:
             * math.log(2.0 * t))
 
 
+class AfeWindows:
+    """The two AFE window sums of one character at s = sigma + i t.
+
+    Tabulates chi(n) n^{-sigma}, conj chi(m) m^{sigma-1} and log n out to
+    the first window at t_max; each height then costs one phase array
+    e^{-i t log n}, and the second window's phases e^{i t log m} are its
+    conjugates.
+    """
+
+    def __init__(self, chi: DirichletCharacter, sigma: float, delta: float,
+                 t_max: float):
+        q = chi.modulus
+        self.delta = delta
+        self.root = math.sqrt(q / (2.0 * math.pi))  # x = delta * root * sqrt(t)
+        n = np.arange(1, int(delta * self.root * math.sqrt(t_max)) + 3)
+        self._logn = np.log(n)
+        table = chi.value_table()
+        self._w = table[n % q] * n.astype(float) ** (-sigma)
+        self._v = np.conj(table)[n % q] * n.astype(float) ** (sigma - 1.0)
+
+    def sums(self, t: float) -> tuple[complex, complex]:
+        """(sum_{n<=x} chi(n) n^{-s}, sum_{m<=y} conj chi(m) m^{s-1}), t <= t_max."""
+        k = math.floor(self.delta * self.root * math.sqrt(t))
+        j = math.floor(self.root * math.sqrt(t) / self.delta)
+        if max(k, j) > len(self._w):
+            raise HeightExceeded(f"AFE windows are tabulated to {len(self._w)} terms; "
+                                 f"t = {t} needs {max(k, j)}")
+        phases = np.exp(-1j * t * self._logn[:max(k, j)])
+        return (complex(np.sum(self._w[:k] * phases[:k])),
+                complex(np.sum(self._v[:j] * np.conj(phases[:j]))))
+
+
 def l_afe(s, chi: DirichletCharacter, delta: float = 1.0) -> LValue:
     """Approximate-functional-equation value of L(s, chi).
 
@@ -85,21 +124,9 @@ def l_afe(s, chi: DirichletCharacter, delta: float = 1.0) -> LValue:
     if s.imag < _AFE_MIN_HEIGHT:
         raise DomainTooSmall(
             f"AFE requires |t| >= {_AFE_MIN_HEIGHT}; use l_oracle for t = {s.imag}")
-
-    q = chi.modulus
-    t = s.imag
-    root = math.sqrt(q * t / (2.0 * math.pi))
-    x = delta * root
-    y = root / delta
-    table = chi.value_table()
-
-    n1 = np.arange(1, math.floor(x) + 1)
-    main = complex(np.sum(table[n1 % q] * n1 ** (-s))) if len(n1) else 0j
-    n2 = np.arange(1, math.floor(y) + 1)
-    second = complex(np.sum(np.conj(table[n2 % q]) * n2 ** (s - 1.0))) if len(n2) else 0j
-
-    value = main + x_factor(s, chi) * second
-    return LValue(value, afe_remainder_bound(s.real, t, q, delta), "afe")
+    first, second = AfeWindows(chi, s.real, delta, s.imag).sums(s.imag)
+    value = first + x_factor(s, chi) * second
+    return LValue(value, afe_remainder_bound(s.real, s.imag, chi.modulus, delta), "afe")
 
 
 def l_oracle(s, chi: DirichletCharacter, tol: float = 1e-11) -> LValue:

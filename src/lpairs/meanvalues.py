@@ -42,7 +42,7 @@ from .errors import (
     PreconditionError,
     SeriesProductDisagreement,
 )
-from .lfunc import LValue, afe_remainder_bound, l_oracle
+from .lfunc import AfeWindows, LValue, afe_remainder_bound, l_oracle
 from .primes import is_prime, primes_upto
 from .specfun import hurwitz_zeta_certified, x_factor
 from .summation import neumaier_sum, neumaier_sum_complex
@@ -301,11 +301,6 @@ class CoefficientSeries:
         return total
 
 
-def coeff(series: CoefficientSeries, n: int) -> complex:
-    """Module-level alias: the verified coefficient as a complex number."""
-    return series.coeff(n)
-
-
 # --- the limit constants D and E ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -469,9 +464,8 @@ class ThmOneEvaluator:
     The two AFE windows are deliberately asymmetric: Delta = sqrt(l) for
     chi1 and Delta = sqrt(q) R for chi2, which lines the chi2 main window
     up with the mollified coefficients d'_n out to R sqrt(q l t / 2 pi).
-    Character-weighted amplitudes n^{-sigma} are precomputed up to the
-    largest window; each height costs one phase array exp(-i gamma log n)
-    plus slices.
+    Each character's window terms are tabulated once (lfunc.AfeWindows)
+    up to t_max; each height costs one phase array exp(-i gamma log n).
     """
 
     def __init__(self, bpoly: BPolynomial, sigma: float, t_max: float):
@@ -481,25 +475,12 @@ class ThmOneEvaluator:
         self.sigma = sigma
         self.chi1 = bpoly.chi1
         self.chi2 = bpoly.chi2
-        q, ell = self.chi1.modulus, self.chi2.modulus
-        self.delta1 = math.sqrt(ell)
-        self.delta2 = math.sqrt(q) * bpoly.support_bound
-
-        self._root1 = math.sqrt(q / (2.0 * math.pi))    # x = delta * root * sqrt(t)
-        self._root2 = math.sqrt(ell / (2.0 * math.pi))
-        n_max = int(self.delta2 * self._root2 * math.sqrt(t_max)) + 2
-        n = np.arange(1, n_max + 1)
-        self._logn = np.log(n)
-        amp = n.astype(float) ** (-sigma)
-        self._w1 = self.chi1.value_table()[n % q] * amp
-        self._w2 = self.chi2.value_table()[n % ell] * amp
-
-        y_max = int(max(self._root1, self._root2) * math.sqrt(t_max)) + 2
-        m = np.arange(1, y_max + 1)
-        self._logm = np.log(m)
-        m_amp = m.astype(float) ** (sigma - 1.0)
-        self._v1 = np.conj(self.chi1.value_table())[m % q] * m_amp
-        self._v2 = np.conj(self.chi2.value_table())[m % ell] * m_amp
+        self.delta1 = math.sqrt(self.chi2.modulus)
+        self.delta2 = math.sqrt(self.chi1.modulus) * bpoly.support_bound
+        self._win1 = AfeWindows(self.chi1, sigma, self.delta1, t_max)
+        self._win2 = AfeWindows(self.chi2, sigma, self.delta2, t_max)
+        # window roots (x = Delta root sqrt(t)); perfbench/spans.py reads them
+        self._root1, self._root2 = self._win1.root, self._win2.root
 
         ns, cs = bpoly.complex_coefficients()
         self._b_log = np.log(ns)
@@ -508,26 +489,16 @@ class ThmOneEvaluator:
     def b_value(self, gamma: float) -> complex:
         return complex(np.sum(self._b_amp * np.exp(-1j * gamma * self._b_log)))
 
-    def _window(self, delta: float, root: float, gamma: float) -> tuple[int, int]:
-        x = delta * root * math.sqrt(gamma)
-        y = root * math.sqrt(gamma) / delta
-        return math.floor(x), math.floor(y)
-
     def l_values(self, gamma: float) -> tuple[LValue, LValue]:
         """AFE values of L(s, chi1), L(s, chi2) at s = sigma + i gamma."""
         s = complex(self.sigma, gamma)
-        k1, j1 = self._window(self.delta1, self._root1, gamma)
-        k2, j2 = self._window(self.delta2, self._root2, gamma)
-        phases = np.exp(-1j * gamma * self._logn[:max(k1, k2)])
-        main1 = complex(np.sum(self._w1[:k1] * phases[:k1]))
-        main2 = complex(np.sum(self._w2[:k2] * phases[:k2]))
-        sec1 = complex(np.sum(self._v1[:j1] * np.exp(1j * gamma * self._logm[:j1])))
-        sec2 = complex(np.sum(self._v2[:j2] * np.exp(1j * gamma * self._logm[:j2])))
-        l1 = main1 + x_factor(s, self.chi1) * sec1
-        l2 = main2 + x_factor(s, self.chi2) * sec2
-        b1 = afe_remainder_bound(self.sigma, gamma, self.chi1.modulus, self.delta1)
-        b2 = afe_remainder_bound(self.sigma, gamma, self.chi2.modulus, self.delta2)
-        return LValue(l1, b1, "afe"), LValue(l2, b2, "afe")
+        out = []
+        for chi, win in ((self.chi1, self._win1), (self.chi2, self._win2)):
+            first, second = win.sums(gamma)
+            out.append(LValue(first + x_factor(s, chi) * second,
+                              afe_remainder_bound(self.sigma, gamma, chi.modulus, win.delta),
+                              "afe"))
+        return out[0], out[1]
 
     def a_value(self, gamma: float) -> complex:
         lv1, lv2 = self.l_values(gamma)
@@ -607,6 +578,13 @@ def _map_ordered_chunks(worker, gammas: np.ndarray, parallel: bool) -> list:
     return out
 
 
+def _audit_stride(audit_rate: float) -> int:
+    """Heights per oracle audit for a rate in [0, 1]; 0 means no audits."""
+    if not 0.0 <= audit_rate <= 1.0:  # also catches nan
+        raise PreconditionError(f"audit rate must lie in [0, 1], got {audit_rate}")
+    return int(round(1.0 / audit_rate)) if audit_rate > 0 else 0
+
+
 def thm1_report(zeros: ZeroTable, t: float, sigma: float,
                 chi1: DirichletCharacter, chi2: DirichletCharacter,
                 cutoff: int | None = None, audit_rate: float = 0.01,
@@ -620,12 +598,12 @@ def thm1_report(zeros: ZeroTable, t: float, sigma: float,
     a zero count bound), not raised: it signals that every sampled pair
     was linearly dependent.
     """
+    stride = _audit_stride(audit_rate)
     if cutoff is None:
         cutoff = max(chi1.modulus, chi2.modulus)
     bpoly = build_b_polynomial(cutoff, chi1, chi2)
     gammas = zeros.up_to(t)
     evaluator = ThmOneEvaluator(bpoly, sigma, t)
-    stride = int(round(1.0 / audit_rate)) if audit_rate > 0 else 0
 
     def worker(chunk):
         start, block = chunk

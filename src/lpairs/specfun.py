@@ -8,11 +8,13 @@ tested domain); zeta and Hurwitz zeta are Euler-Maclaurin with an
 explicit Backlund remainder bound plus a rounding allowance, and the
 certified-bound variants return that bound alongside the value.
 
-Only double precision is used.  Euler-Maclaurin needs N ~ 0.62*|t|
-terms; it is the route for zeta, Hurwitz zeta, the scalar hardy_z and
-the zero engine's Z below t = 200.  From t = 200 the zero engine's
-batched Z takes the Riemann-Siegel formula with the corrections C_0..C_4
-(about sqrt(t/2pi) terms) and certifies each value with Gabcke's
+Only double precision is used.  Euler-Maclaurin has one body,
+_hurwitz_critical_batch(ts, a, tol, sigma), which needs N ~ 0.62 max|t|
+terms.  The scalar routes are batches of one height: hurwitz_zeta,
+zeta_em (a = 1) and hardy_z, which is _hardy_z_em on one height.  The
+zero engine's Z below t = 200 is _hardy_z_em too.  From t = 200 the zero
+engine's batched Z takes the Riemann-Siegel formula with the corrections
+C_0..C_4 (about sqrt(t/2pi) terms) and certifies each value with Gabcke's
 remainder bound |R_4(t)| <= 0.017 t^(-11/4) plus a float-rounding
 allowance B_RS.  A value too close to zero for that certificate to fix
 its sign, |Z_RS| <= B_RS + B_EM with B_EM the a priori Euler-Maclaurin
@@ -179,25 +181,19 @@ def log_gamma(s) -> complex:
 
 # --- Riemann-Siegel theta ----------------------------------------------------
 
-def riemann_siegel_theta(t: float) -> float:
-    """theta(t) by the standard asymptotic expansion (terms through t^-7).
+def riemann_siegel_theta(t):
+    """theta(t) by the standard asymptotic expansion (terms through t^-7),
+    for a height or an array of heights.
 
     Absolute error below 1e-8 for t >= 10 (the first omitted term is
     ~4e-13 there); theta is increasing for t >= 7 since theta'(t)
     ~ log(t/2pi)/2.
     """
-    if t < 1.0:
-        raise DomainTooSmall(f"theta expansion needs t >= 1, got {t}")
-    th = 0.5 * t * math.log(t / (2.0 * math.pi)) - 0.5 * t - math.pi / 8.0
+    if np.min(t) < 1.0:
+        raise DomainTooSmall(f"theta expansion needs t >= 1, got {np.min(t)}")
+    th = 0.5 * t * np.log(t / (2.0 * math.pi)) - 0.5 * t - math.pi / 8.0
     th += (1.0 / 48.0) / t + (7.0 / 5760.0) / t ** 3
     th += (31.0 / 80640.0) / t ** 5 + (127.0 / 430080.0) / t ** 7
-    return th
-
-
-def _theta_array(ts: np.ndarray) -> np.ndarray:
-    th = 0.5 * ts * np.log(ts / (2.0 * math.pi)) - 0.5 * ts - math.pi / 8.0
-    th += (1.0 / 48.0) / ts + (7.0 / 5760.0) / ts ** 3
-    th += (31.0 / 80640.0) / ts ** 5 + (127.0 / 430080.0) / ts ** 7
     return th
 
 
@@ -215,130 +211,30 @@ def _digamma_real(x: float) -> float:
 
 # --- Euler-Maclaurin Hurwitz zeta -------------------------------------------
 
-def _hurwitz_certified(s: complex, a: float, tol: float) -> tuple[complex, float]:
-    """(value, certified absolute error bound) for zeta(s, a).
+def _hurwitz_critical_batch(ts: np.ndarray, a: float, tol: float = 1e-11,
+                            sigma: float = 0.5):
+    """zeta(sigma + i t, a) over a batch of heights, with one shared truncation.
 
-    Tail after N terms is the Euler-Maclaurin correction series; the
-    truncation remainder after K corrections is bounded by Backlund's
-    estimate |(s+2K+1)/(sigma+2K+1)| * |next term|.  A root-sum-square
-    rounding allowance for the oscillatory power sums (phase error
-    ~ |t| log n * eps per term) is added on top, with a factor-4 margin.
+    The one Euler-Maclaurin body of the workbench: the scalar routes call
+    it on a batch of one height.  N = 0.62 max|t| + 8 terms (at least 20)
+    form the main sum sum_n (n + a)^{-sigma} e^{-i t log(n + a)} in one
+    outer-product pass, so callers should batch heights in narrow windows.
+    The truncation remainder after K Bernoulli corrections is bounded by
+    Backlund's estimate |(s+2K+1)/(sigma+2K+1)| * |next term|, with K the
+    first order where that bound is <= tol at every height.  A
+    root-sum-square rounding allowance for the oscillatory power sums
+    (phase error ~ |t| log n * eps per term) is added with a factor-4
+    margin.  Returns (values, worst certified bound).
     """
-    t = abs(s.imag)
-    n_terms = max(20, int(math.ceil(0.62 * t)) + 8)
-    base = np.arange(n_terms, dtype=float) + a
-    main = complex(np.sum(base ** (-s)))
-    na = n_terms + a
-    value = main + na ** (1.0 - s) / (s - 1.0) + 0.5 * na ** (-s)
-
-    poch = s
-    corr = _B2K_OVER_FACT[0] * poch * na ** (-s - 1.0)
-    trunc = None
-    for k in range(2, 32):
-        poch = poch * (s + (2 * k - 3)) * (s + (2 * k - 2))
-        corr += _B2K_OVER_FACT[k - 1] * poch * na ** (-s - 2.0 * k + 1.0)
-        next_mag = (abs(_B2K_OVER_FACT[k]) * abs(poch * (s + (2 * k - 1)) * (s + 2 * k))
-                    * na ** (-s.real - 2.0 * k - 1.0))
-        bound = abs(s + (2 * k + 1)) / (s.real + 2 * k + 1) * next_mag
-        if bound <= tol:
-            trunc = bound
-            break
-    if trunc is None:
-        raise AccuracyLoss(
-            f"Euler-Maclaurin remainder did not reach {tol:g} at s={s}, a={a}")
-    rounding = (_EPS * (t + 2.0) * math.log(na + 2.0)
-                * math.sqrt(float(np.sum(base ** (-2.0 * s.real))) + 1.0))
-    return value + corr, trunc + 4.0 * rounding
-
-
-def hurwitz_zeta(s, a, tol: float = 1e-12) -> complex:
-    """zeta(s, a) for 0 < a <= 1, s != 1; hurwitz_zeta(s, 1) == zeta_em(s)."""
-    value, _ = hurwitz_zeta_certified(s, a, tol)
-    return value
-
-
-def hurwitz_zeta_certified(s, a, tol: float = 1e-12) -> tuple[complex, float]:
-    s = complex(s)
-    if s == 1:
-        raise PoleAtOne("zeta(s, a) has a pole at s = 1")
-    a = float(a)
-    if not 0.0 < a <= 1.0:
-        raise DomainTooSmall(f"shift a must lie in (0, 1], got {a}")
-    return _hurwitz_certified(s, a, tol)
-
-
-def zeta_em(s, tol: float = 1e-12) -> complex:
-    """Riemann zeta by Euler-Maclaurin (the oracle backbone)."""
-    value, _ = zeta_em_certified(s, tol)
-    return value
-
-
-def zeta_em_certified(s, tol: float = 1e-12) -> tuple[complex, float]:
-    s = complex(s)
-    if s == 1:
-        raise PoleAtOne("zeta has a pole at s = 1")
-    return _hurwitz_certified(s, 1.0, tol)
-
-
-def _zeta_critical_batch(ts: np.ndarray, tol: float = 1e-11):
-    """zeta(1/2 + i t) for an ascending batch of heights.
-
-    Shares one N (from the largest height in the batch) so the main sum
-    is a single outer-product pass; callers should batch heights in
-    narrow windows.  Returns (values, worst certified bound).
-    """
-    tmax = float(ts[-1])
-    n_terms = max(20, int(math.ceil(0.62 * tmax)) + 8)
-    n = np.arange(1, n_terms + 1, dtype=float)
-    logn = np.log(n)
-    amp = n ** -0.5
-    # main sum: sum_n n^{-1/2} e^{-i t log n}; pairwise np.sum keeps the
-    # reduction order fixed (BLAS matvec would not be reproducible)
-    values = np.sum(np.exp(np.outer(-1j * ts, logn)) * amp, axis=1)
-    s = 0.5 + 1j * ts
-    na = float(n_terms + 1)
-    values += na ** (1.0 - s) / (s - 1.0) + 0.5 * na ** (-s)
-
-    poch = s.copy()
-    values += _B2K_OVER_FACT[0] * poch * na ** (-s - 1.0)
-    trunc = None
-    for k in range(2, 32):
-        poch = poch * (s + (2 * k - 3)) * (s + (2 * k - 2))
-        values += _B2K_OVER_FACT[k - 1] * poch * na ** (-s - 2.0 * k + 1.0)
-        next_mag = (abs(_B2K_OVER_FACT[k]) * np.abs(poch * (s + (2 * k - 1)) * (s + 2 * k))
-                    * na ** (-0.5 - 2.0 * k - 1.0))
-        bound = float(np.max(np.abs(s + (2 * k + 1)) / (0.5 + 2 * k + 1) * next_mag))
-        if bound <= tol:
-            trunc = bound
-            break
-    if trunc is None:
-        raise AccuracyLoss(f"batch Euler-Maclaurin stalled near t={tmax}")
-    return values, trunc + 4.0 * _em_rounding(tmax, n_terms)
-
-
-def _em_rounding(tmax: float, n_terms: int) -> float:
-    """Rounding allowance of the critical-line Euler-Maclaurin zeta sum
-    with n_terms terms at heights <= tmax (phase error ~ t log n * eps
-    per term, root-sum-square over the terms; sum_{n<=N} 1/n is bounded
-    by log N + gamma + 1/2N)."""
-    harmonic = math.log(n_terms) + _EULER_GAMMA + 0.5 / n_terms
-    return (_EPS * (tmax + 2.0) * math.log(n_terms + 3.0)
-            * math.sqrt(harmonic + 1.0))
-
-
-def _hurwitz_critical_batch(ts: np.ndarray, a: float, tol: float = 1e-11):
-    """zeta(1/2 + i t, a) over an ascending batch, shared truncation.
-
-    Same Euler-Maclaurin scheme as the scalar path; used to batch the
-    L-oracle over many zero ordinates at once.
-    """
-    tmax = float(ts[-1])
+    tmax = float(np.max(np.abs(ts)))
     n_terms = max(20, int(math.ceil(0.62 * tmax)) + 8)
     base = np.arange(n_terms, dtype=float) + a
     logb = np.log(base)
-    amp = base ** -0.5
+    amp = base ** -sigma
+    # pairwise np.sum keeps the reduction order fixed (BLAS matvec would
+    # not be reproducible)
     values = np.sum(np.exp(np.outer(-1j * ts, logb)) * amp, axis=1)
-    s = 0.5 + 1j * ts
+    s = sigma + 1j * ts
     na = float(n_terms + a)
     values += na ** (1.0 - s) / (s - 1.0) + 0.5 * na ** (-s)
 
@@ -349,32 +245,59 @@ def _hurwitz_critical_batch(ts: np.ndarray, a: float, tol: float = 1e-11):
         poch = poch * (s + (2 * k - 3)) * (s + (2 * k - 2))
         values += _B2K_OVER_FACT[k - 1] * poch * na ** (-s - 2.0 * k + 1.0)
         next_mag = (abs(_B2K_OVER_FACT[k]) * np.abs(poch * (s + (2 * k - 1)) * (s + 2 * k))
-                    * na ** (-0.5 - 2.0 * k - 1.0))
-        bound = float(np.max(np.abs(s + (2 * k + 1)) / (0.5 + 2 * k + 1) * next_mag))
+                    * na ** (-sigma - 2.0 * k - 1.0))
+        bound = float(np.max(np.abs(s + (2 * k + 1)) / (sigma + 2 * k + 1) * next_mag))
         if bound <= tol:
             trunc = bound
             break
     if trunc is None:
-        raise AccuracyLoss(f"batch Euler-Maclaurin stalled near t={tmax}")
+        raise AccuracyLoss(f"Euler-Maclaurin remainder did not reach {tol:g} at "
+                           f"sigma={sigma}, |t| <= {tmax}, a={a}")
     rounding = (_EPS * (tmax + 2.0) * math.log(na + 2.0)
-                * math.sqrt(float(np.sum(base ** -1.0)) + 1.0))
+                * math.sqrt(float(np.sum(base ** (-2.0 * sigma))) + 1.0))
     return values, trunc + 4.0 * rounding
+
+
+def hurwitz_zeta(s, a, tol: float = 1e-12) -> complex:
+    """zeta(s, a) for 0 < a <= 1, s != 1; hurwitz_zeta(s, 1) == zeta_em(s)."""
+    value, _ = hurwitz_zeta_certified(s, a, tol)
+    return value
+
+
+def hurwitz_zeta_certified(s, a, tol: float = 1e-12) -> tuple[complex, float]:
+    """(value, certified absolute error bound) for zeta(s, a)."""
+    s = complex(s)
+    if s == 1:
+        raise PoleAtOne("zeta(s, a) has a pole at s = 1")
+    a = float(a)
+    if not 0.0 < a <= 1.0:
+        raise DomainTooSmall(f"shift a must lie in (0, 1], got {a}")
+    values, bound = _hurwitz_critical_batch(np.array([s.imag]), a, tol, s.real)
+    return complex(values[0]), bound
+
+
+def zeta_em(s, tol: float = 1e-12) -> complex:
+    """Riemann zeta by Euler-Maclaurin (the oracle backbone)."""
+    value, _ = zeta_em_certified(s, tol)
+    return value
+
+
+def zeta_em_certified(s, tol: float = 1e-12) -> tuple[complex, float]:
+    return hurwitz_zeta_certified(s, 1.0, tol)
 
 
 # --- Hardy Z -----------------------------------------------------------------
 
 def hardy_z(t: float, tol: float = 1e-12) -> float:
-    """Z(t) = e^{i theta(t)} zeta(1/2 + it), guaranteed real.
+    """Z(t) = e^{i theta(t)} zeta(1/2 + it) by Euler-Maclaurin, guaranteed
+    real: _hardy_z_em on a batch of one height.
 
     The imaginary residue is an internal accuracy check: above 1e-6 it
     signals a broken evaluator and raises AccuracyLoss.
     """
     if t < 10.0:
         raise DomainTooSmall(f"hardy_z requires t >= 10, got {t}")
-    z = cmath.exp(1j * riemann_siegel_theta(t)) * zeta_em(complex(0.5, t), tol)
-    if abs(z.imag) > 1e-6:
-        raise AccuracyLoss(f"Z({t}) imaginary residue {z.imag:.3e}")
-    return z.real
+    return float(_hardy_z_em(np.array([t], dtype=float), tol)[0])
 
 
 # Riemann-Siegel Z is certified for t >= 200, where Gabcke's bound on the
@@ -386,16 +309,20 @@ _RS_R4 = 0.017
 def _em_critical_bound(tmax: float, tol: float) -> float:
     """A priori error bound of Euler-Maclaurin Z in a batch topped at tmax.
 
-    It adds the truncation tolerance and the 4x rounding allowance of
-    _zeta_critical_batch to the float error of theta(tmax) (1 ulp per
-    operation of _theta_array, doubled; the omitted t^-9 term of the
-    expansion is below 1e-23).  A theta error only turns Z into
-    Z cos(error), so this last term also covers the rounding of
-    e^{i theta} zeta while |zeta| < 1000.
+    It adds the truncation tolerance, 4x the rounding allowance of
+    _hurwitz_critical_batch at sigma = 1/2, a = 1 (same N, with
+    sum_{n<=N} 1/n bounded by log N + gamma + 1/2N) and the float error
+    of theta(tmax) (1 ulp per operation of riemann_siegel_theta, doubled;
+    the omitted t^-9 term of the expansion is below 1e-23).  A theta
+    error only turns Z into Z cos(error), so this last term also covers
+    the rounding of e^{i theta} zeta while |zeta| < 1000.
     """
     n_terms = max(20, int(math.ceil(0.62 * tmax)) + 8)
+    harmonic = math.log(n_terms) + _EULER_GAMMA + 0.5 / n_terms
+    rounding = (_EPS * (tmax + 2.0) * math.log(n_terms + 3.0)
+                * math.sqrt(harmonic + 1.0))
     theta_err = 3.0 * _EPS * tmax * (math.log(tmax / (2.0 * math.pi)) + 2.0)
-    return tol + 4.0 * _em_rounding(tmax, n_terms) + theta_err
+    return tol + 4.0 * rounding + theta_err
 
 
 def _rs_z_batch(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -444,8 +371,8 @@ def _rs_z_batch(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _hardy_z_em(ts: np.ndarray, tol: float) -> np.ndarray:
     """Euler-Maclaurin Z over an ascending batch; the imaginary residue of
     e^{i theta} zeta is an accuracy check (AccuracyLoss above 1e-6)."""
-    zeta_vals, _ = _zeta_critical_batch(ts, tol)
-    z = np.exp(1j * _theta_array(ts)) * zeta_vals
+    zeta_vals, _ = _hurwitz_critical_batch(ts, 1.0, tol)
+    z = np.exp(1j * riemann_siegel_theta(ts)) * zeta_vals
     worst = float(np.max(np.abs(z.imag)))
     if worst > 1e-6:
         raise AccuracyLoss(f"batch Z imaginary residue {worst:.3e}")

@@ -167,11 +167,6 @@ def load_zeros(path, precision: float = 1e-9) -> ZeroTable:
                      t_max=t_max)
 
 
-def count(table: ZeroTable, t: float) -> int:
-    """N(t) for the table (function-style alias of ZeroTable.count)."""
-    return table.count(t)
-
-
 def _scan_windows(t_max: float, density: float):
     """Deterministic scan windows [lo, hi) with per-window grid step.
 

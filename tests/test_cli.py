@@ -96,6 +96,13 @@ def test_thm2_command(zero_file, tmp_path):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("command", ["thm1", "thm2"])
+@pytest.mark.parametrize("rate", ["3", "-1", "nan", "inf"])
+def test_config_error_out_of_range_audit_rate(zero_file, command, rate):
+    assert run([command, "--T", "100", "--char1", "3:1", "--char2", "5:2",
+                "--zeros", zero_file, "--oracle-audit", rate]) == 1
+
+
 def test_seed_check_runs(zero_file, tmp_path):
     out = tmp_path / "landau.csv"
     assert run(["landau", "--x", "2", "--T", "100", "--zeros", zero_file,

@@ -132,6 +132,20 @@ def test_a2_requires_height(chi3, chi5):
         a2_gamma(9.0, cfg)
 
 
+@pytest.mark.parametrize("rate", [3.0, -1.0, math.nan, math.inf])
+def test_report_rejects_out_of_range_audit_rate(zeros100, chi3, chi5, rate):
+    # a rate outside [0, 1] used to switch the audits off silently
+    with pytest.raises(PreconditionError):
+        thm2_report(zeros100, 50.0, make_config(chi3, chi5), audit_rate=rate)
+
+
+def test_report_audit_rate_bounds_accepted(zeros100, chi3, chi5):
+    cfg = make_config(chi3, chi5)
+    for rate in (0.0, 1.0):
+        rep = thm2_report(zeros100, 50.0, cfg, audit_rate=rate)
+        assert rep.n_zeros == zeros100.count(50.0)
+
+
 def test_report_structure_and_determinism(zeros100, chi3, chi5):
     cfg = make_config(chi3, chi5)
     a = thm2_report(zeros100, 100.0, cfg)

@@ -10,7 +10,7 @@ from lpairs.errors import (
     OutOfStrip,
     PrincipalCharacter,
 )
-from lpairs.lfunc import l_afe, l_oracle, l_oracle_critical_batch
+from lpairs.lfunc import AfeWindows, l_afe, l_oracle, l_oracle_critical_batch
 
 GAMMA_1 = 14.134725141734693790
 
@@ -118,3 +118,28 @@ def test_batch_oracle_matches_scalar(chi5):
     for t, got in zip(ts, batch):
         ref = l_oracle(complex(0.5, t), chi5)
         assert abs(got - ref.value) <= bound + ref.bound
+
+
+def test_afe_windows_match_literal_power_sums(chi3, chi5):
+    # the tabulated windows (amplitudes times shared, conjugated phases)
+    # against the literal sums of chi(n) n^-s and conj chi(m) m^(s-1);
+    # the table is built for a larger t_max than the height it serves
+    for chi in (chi3, chi5):
+        for sigma, delta, t in ((0.5, 1.0, 100.0), (0.75, 2.0, 1234.5),
+                                (0.6, 1.7, 5000.0)):
+            first, second = AfeWindows(chi, sigma, delta, 2.0 * t).sums(t)
+            s = complex(sigma, t)
+            root = math.sqrt(chi.modulus * t / (2.0 * math.pi))
+            ref1 = sum(chi(n) * n ** (-s) for n in range(1, math.floor(delta * root) + 1))
+            ref2 = sum(chi(m).conjugate() * m ** (s - 1.0)
+                       for m in range(1, math.floor(root / delta) + 1))
+            assert abs(first - ref1) <= 1e-9
+            assert abs(second - ref2) <= 1e-9
+
+
+def test_afe_windows_reject_heights_above_t_max(chi3):
+    # a height beyond the tabulated windows used to drop terms silently
+    win = AfeWindows(chi3, 0.5, 1.0, 100.0)
+    win.sums(100.0)
+    with pytest.raises(HeightExceeded):
+        win.sums(5000.0)

@@ -11,7 +11,6 @@ from lpairs.meanvalues import (
     a1_gamma,
     build_b_polynomial,
     chi_root,
-    coeff,
     predicted_constant,
     series_d,
     series_e,
@@ -103,7 +102,7 @@ class TestCoefficients:
         assert e.coeff(2) == 1  # e_2 = -chi1(2) = +1
 
     def test_d4_vanishes(self, bpoly):
-        assert coeff(CoefficientSeries("d", bpoly), 4) == 0
+        assert CoefficientSeries("d", bpoly).coeff(4) == 0
 
     def test_duality_small_range(self, bpoly):
         d = CoefficientSeries("d", bpoly)
@@ -241,6 +240,12 @@ class TestReport:
         # audit_rate = 1 re-checks every height through the oracle
         rep = thm1_report(zeros100, 50.0, 0.75, chi3, chi5, audit_rate=1.0)
         assert rep.n_zeros == zeros100.count(50.0)
+
+    @pytest.mark.parametrize("rate", [3.0, -1.0, math.nan, math.inf])
+    def test_report_rejects_out_of_range_audit_rate(self, zeros100, chi3, chi5, rate):
+        # a rate outside [0, 1] used to switch the audits off silently
+        with pytest.raises(PreconditionError):
+            thm1_report(zeros100, 50.0, 0.75, chi3, chi5, audit_rate=rate)
 
     def test_report_on_empty_table_reports_zero_bound(self, tmp_path, chi3, chi5):
         # a vacuous zero set yields sum_abs_a2 = 0; the count bound is

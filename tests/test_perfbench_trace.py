@@ -1,0 +1,44 @@
+"""Smoke test of the traced benchmark run (perfbench/spans.py).
+
+spans.install() wraps lpairs functions and methods by module attribute,
+and layer_metrics reads evaluator attributes; a rename in src/ that drops
+one of them breaks the traced benchmark.  This test catches that in the
+test suite: one traced l_values call on each evaluator, then the
+per-layer metrics, in a fresh interpreter.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import spans
+from lpairs import criticalline, meanvalues
+from lpairs.characters import parse_character
+
+tracer = spans.install()
+chi1, chi2 = parse_character("3:1"), parse_character("5:2")
+bpoly = meanvalues.build_b_polynomial(5, chi1, chi2)
+with tracer.root("job", "bench") as root:
+    meanvalues.ThmOneEvaluator(bpoly, 0.75, 100.0).l_values(50.0)
+    cfg = criticalline.make_config(chi1, chi2)
+    criticalline.ThmTwoEvaluator(cfg, 100.0).l_values(50.0)
+m = spans.layer_metrics(tracer.spans, root, 0, meanvalues._SIEVE_CHUNK)
+assert m["meanvalues.l_values_calls"] == 1, m
+assert m["criticalline.l_values_calls"] == 1, m
+assert m["meanvalues.afe_terms_per_zero"] > 0, m
+assert m["specfun.x_factor_calls"] == 4, m
+"""
+
+
+def test_traced_l_values_and_layer_metrics():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), str(REPO / "perfbench")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

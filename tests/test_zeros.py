@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from lpairs.errors import (
     PreconditionError,
     RangeExceeded,
 )
-from lpairs.zeros import compute_zeros, count, load_zeros, rvm_band, rvm_estimate
+from lpairs.zeros import compute_zeros, load_zeros, rvm_band, rvm_estimate
 
+REPO = Path(__file__).resolve().parent.parent
 GAMMA_1 = 14.134725141734693790
 GAMMA_2 = 21.022039638771554993
 GAMMA_3 = 25.010857580145688763
@@ -81,10 +83,17 @@ def test_compute_5000_count_in_rvm_band(zeros5000):
     assert len(zeros5000) == 4520
 
 
+def test_compute_5000_equals_committed_table(zeros5000):
+    # the committed table pins the engine's output bit for bit, including
+    # the order of the Euler-Maclaurin sums behind every fallback sign
+    committed = load_zeros(REPO / "perfbench" / "data" / "zeros_5000.txt")
+    assert np.array_equal(zeros5000.ordinates, committed.ordinates)
+
+
 def test_counts(zeros100):
     assert zeros100.count(14.0) == 0
     assert zeros100.count(100.0) == 29
-    assert count(zeros100, 15.0) == 1
+    assert zeros100.count(15.0) == 1
     with pytest.raises(RangeExceeded):
         zeros100.count(200.0)
 
