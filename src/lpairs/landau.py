@@ -27,9 +27,13 @@ from .zeros import ZeroTable
 def rational_point(value) -> Fraction:
     """Normalise a sample point to an exact Fraction > 1.
 
-    Accepts Fraction, int, or a string like "15/2".
+    Accepts Fraction, int, or a string like "15/2"; a zero denominator
+    is a PreconditionError.
     """
-    x = Fraction(value)
+    try:
+        x = Fraction(value)
+    except ZeroDivisionError:
+        raise PreconditionError(f"sample point has a zero denominator: {value!r}") from None
     if x <= 1:
         raise PreconditionError(f"sample point must exceed 1, got {x}")
     return x

@@ -42,6 +42,12 @@ def test_landau_rational_x(zero_file, tmp_path):
     assert out.read_text().splitlines()[1].startswith("15/2,")
 
 
+@pytest.mark.parametrize("x", ["3/0", "0/0"])
+def test_config_error_zero_denominator_x(zero_file, x, capsys):
+    assert run(["landau", "--x", x, "--T", "100", "--zeros", zero_file]) == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_config_error_nonprime_modulus(zero_file):
     assert run(["thm1", "--char1", "4:1", "--char2", "5:2",
                 "--zeros", zero_file, "--T", "100"]) == 1

@@ -26,6 +26,13 @@ def test_rational_point_parsing():
         rational_point("1/2")
 
 
+@pytest.mark.parametrize("text", ["3/0", "0/0"])
+def test_rational_point_rejects_zero_denominator(text):
+    # Fraction raises ZeroDivisionError, which the CLI would not map to exit 1
+    with pytest.raises(PreconditionError):
+        rational_point(text)
+
+
 def test_von_mangoldt_prime_powers():
     assert von_mangoldt(8) == pytest.approx(math.log(2), abs=1e-15)
     assert von_mangoldt(9) == pytest.approx(math.log(3), abs=1e-15)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from lpairs.characters import character
@@ -202,6 +203,20 @@ class TestStatistic:
             assert lv1.bound == ref1.bound
             assert lv2.bound == ref2.bound
 
+    def test_chi2_window_short_and_within_its_bound(self, bpoly):
+        # chi2 takes Delta = 1; the proof's Delta = sqrt(q) R summed ~98k
+        # terms per zero at t = 5000 with a bound near 2.3e3
+        from lpairs.lfunc import l_oracle
+        ev = ThmOneEvaluator(bpoly, 0.75, 5000.0)
+        for g in np.linspace(1000.0, 5000.0, 20):
+            _, lv2 = ev.l_values(g)
+            oracle = l_oracle(complex(0.75, g), bpoly.chi2)
+            assert abs(lv2.value - oracle.value) <= lv2.bound
+            assert lv2.bound < 100.0
+            reach = ev._root2 * math.sqrt(g)
+            terms = math.floor(ev.delta2 * reach) + math.floor(reach / ev.delta2)
+            assert terms <= 2.0 * math.sqrt(5.0 * g / (2.0 * math.pi)) + 2.0
+
     def test_a1_inner_factor_purely_imaginary(self, bpoly):
         ev = ThmOneEvaluator(bpoly, 0.75, 50.0)
         lv1, lv2 = ev.l_values(GAMMA_1)
@@ -258,3 +273,27 @@ class TestReport:
         assert rep.sum_abs_a2 == 0.0
         assert rep.lower_bound_count == 0.0
         assert rep.csv_row().startswith("50.0,0,")
+
+
+class TestSeriesRoute:
+    """The series route against the exact coefficient calculus.
+
+    Cutoff 5 has coefficient period M = 900 <= N, so the route gathers a_n
+    from one sieved period; cutoff 11 has M = 5,336,100, beyond one sieve
+    chunk, so every chunk is sieved.  A complex chi2 (5:1) checks the
+    imaginary parts as well.
+    """
+
+    @pytest.mark.parametrize("cutoff", [5, 11])
+    @pytest.mark.parametrize("index", [2, 1])
+    @pytest.mark.parametrize("kind", ["d", "e"])
+    def test_matches_exact_coefficients(self, chi3, cutoff, index, kind):
+        from lpairs.meanvalues import _series_route
+        sigma, tol_tail = 0.75, 1e-3  # N = 2,097 at cutoff 5, 5,284 at cutoff 11
+        series = CoefficientSeries(kind, build_b_polynomial(cutoff, chi3, character(5, index)))
+        value, bound, n_terms = _series_route(series, sigma, tol_tail)
+        assert 900 <= n_terms <= 6000
+        reference = sum(series.exact(n).to_complex() * series.other(n).conjugate()
+                        * n ** (-2.0 * sigma) for n in range(1, n_terms + 1))
+        assert abs(value - reference) < 1e-12
+        assert bound < 1.01 * tol_tail

@@ -4,7 +4,9 @@ spans.install() wraps lpairs functions and methods by module attribute,
 and layer_metrics reads evaluator attributes; a rename in src/ that drops
 one of them breaks the traced benchmark.  This test catches that in the
 test suite: one traced l_values call on each evaluator, then the
-per-layer metrics, in a fresh interpreter.
+per-layer metrics, in a fresh interpreter.  One cheap series_d call
+keeps the _series_route return shape and _SIEVE_CHUNK that the series
+metrics read.
 """
 
 import os
@@ -26,7 +28,10 @@ with tracer.root("job", "bench") as root:
     meanvalues.ThmOneEvaluator(bpoly, 0.75, 100.0).l_values(50.0)
     cfg = criticalline.make_config(chi1, chi2)
     criticalline.ThmTwoEvaluator(cfg, 100.0).l_values(50.0)
+    d = meanvalues.series_d(bpoly, 0.9)
 m = spans.layer_metrics(tracer.spans, root, 0, meanvalues._SIEVE_CHUNK)
+assert m["meanvalues.series_terms"] == d.n_terms, (m, d)
+assert m["meanvalues.sieve_peak_mb"] > 0, m
 assert m["meanvalues.l_values_calls"] == 1, m
 assert m["criticalline.l_values_calls"] == 1, m
 assert m["meanvalues.afe_terms_per_zero"] > 0, m
