@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .characters import character, gauss_sum, parse_character
-from .criticalline import make_config, thm2_report
+from .criticalline import ThmTwoReport, make_config, thm2_report
 from .errors import DataError, NumericsError, PreconditionError
 from .landau import (
     landau_error_budget,
@@ -25,7 +25,7 @@ from .landau import (
     rational_point,
 )
 from .lfunc import l_afe, l_oracle
-from .meanvalues import build_b_polynomial, thm1_report
+from .meanvalues import MeanValueReport, build_b_polynomial, thm1_report
 from .specfun import hardy_z, zeta_em
 from .zeros import compute_zeros, load_zeros
 
@@ -126,6 +126,13 @@ def _cmd_afe_verify(args) -> None:
         raise NumericsError(f"AFE bound breached: worst ratio {worst:.3e} > 1")
 
 
+def _write_sweep(args, header: str, report) -> None:
+    """One CSV row of report(table, t) per swept height T."""
+    table = _resolve_zeros(args.zeros, max(args.t_values))
+    _write_lines(args.output, [header] + [report(table, t).csv_row()
+                                          for t in args.t_values])
+
+
 def _cmd_thm1(args) -> None:
     chi1 = parse_character(args.char1)
     chi2 = parse_character(args.char2)
@@ -134,14 +141,9 @@ def _cmd_thm1(args) -> None:
     cutoff = None if args.cutoff == "auto" else int(args.cutoff)
     if cutoff is not None:
         build_b_polynomial(cutoff, chi1, chi2)  # validate before the long run
-    table = _resolve_zeros(args.zeros, max(args.t_values))
-    from .meanvalues import MeanValueReport
-    lines = [MeanValueReport.CSV_HEADER]
-    for t in args.t_values:
-        rep = thm1_report(table, t, args.sigma, chi1, chi2, cutoff=cutoff,
-                          audit_rate=args.audit_rate, parallel=args.parallel)
-        lines.append(rep.csv_row())
-    _write_lines(args.output, lines)
+    _write_sweep(args, MeanValueReport.CSV_HEADER, lambda table, t: thm1_report(
+        table, t, args.sigma, chi1, chi2, cutoff=cutoff,
+        audit_rate=args.audit_rate, parallel=args.parallel))
 
 
 def _cmd_thm2(args) -> None:
@@ -149,14 +151,8 @@ def _cmd_thm2(args) -> None:
     chi2 = parse_character(args.char2)
     p = None if args.p == "auto" else int(args.p)
     cfg = make_config(chi1, chi2, p)
-    table = _resolve_zeros(args.zeros, max(args.t_values))
-    from .criticalline import ThmTwoReport
-    lines = [ThmTwoReport.CSV_HEADER]
-    for t in args.t_values:
-        rep = thm2_report(table, t, cfg, audit_rate=args.audit_rate,
-                          parallel=args.parallel)
-        lines.append(rep.csv_row())
-    _write_lines(args.output, lines)
+    _write_sweep(args, ThmTwoReport.CSV_HEADER, lambda table, t: thm2_report(
+        table, t, cfg, audit_rate=args.audit_rate, parallel=args.parallel))
     print(f"thm2: p = {cfg.p}, C1 = {cfg.c1:.6f}, C2 = {cfg.c2:.6f}",
           file=sys.stderr)
 

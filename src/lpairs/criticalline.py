@@ -31,6 +31,11 @@ device; the workbench verifies the consequences by direct zero sums.
 
 Zeros are sampled at numerically computed ordinates, which lie on the
 critical line at desk heights, so rho = 1/2 + i gamma throughout.
+
+thm2_report is thm1_report with another statistic: the L-values at each
+zero are lfunc.AfeWindows.value, and the audited zero loop and the
+Cauchy-Schwarz reducer are meanvalues._audited_rows and _cauchy_schwarz.
+method "oracle" replaces the loop by l_oracle_critical_batch per chunk.
 """
 
 from __future__ import annotations
@@ -40,15 +45,11 @@ from dataclasses import dataclass
 
 from .characters import DirichletCharacter, gauss_sum
 from .errors import OracleAuditFailure, PreconditionError, SearchExhausted
-from .lfunc import (
-    AfeWindows,
-    LValue,
-    afe_remainder_bound,
-    l_oracle,
-    l_oracle_critical_batch,
-)
-from .meanvalues import _audit_stride, _map_ordered_chunks
+from .lfunc import AfeWindows, LValue, l_oracle, l_oracle_critical_batch
+from .meanvalues import _audit_stride, _audited_rows, _cauchy_schwarz, _map_ordered_chunks
 from .primes import is_prime
+# perfbench/spans.py wraps x_factor and neumaier_sum by this module's
+# attributes, so the names stay importable here
 from .specfun import x_factor
 from .summation import neumaier_sum, neumaier_sum_complex
 from .zeros import ZeroTable
@@ -130,13 +131,7 @@ class ThmTwoEvaluator:
                                      math.sin(gamma * self._log_p))
 
     def l_values(self, gamma: float) -> tuple[LValue, LValue]:
-        s = complex(0.5, gamma)
-        out = []
-        for chi, win in ((self.cfg.chi1, self._win1), (self.cfg.chi2, self._win2)):
-            first, second = win.sums(gamma)
-            out.append(LValue(first + x_factor(s, chi) * second,
-                              afe_remainder_bound(0.5, gamma, chi.modulus, 1.0), "afe"))
-        return out[0], out[1]
+        return self._win1.value(gamma), self._win2.value(gamma)
 
     def a_value(self, gamma: float) -> complex:
         lv1, lv2 = self.l_values(gamma)
@@ -216,32 +211,28 @@ def thm2_report(zeros: ZeroTable, t: float, cfg: CriticalLineConfig,
     gammas = zeros.up_to(t)
     evaluator = ThmTwoEvaluator(cfg, t)
 
-    def worker(chunk):
-        start, block = chunk
+    def oracle_worker(chunk):
+        _, block = chunk
+        l1s, _ = l_oracle_critical_batch(block, cfg.chi1)
+        l2s, _ = l_oracle_critical_batch(block, cfg.chi2)
         rows = []
-        if method == "oracle":
-            l1s, _ = l_oracle_critical_batch(block, cfg.chi1)
-            l2s, _ = l_oracle_critical_batch(block, cfg.chi2)
-            for g, l1, l2 in zip(block, l1s, l2s):
-                b = evaluator.b_value(float(g))
-                rows.append((b * complex(l1), b * complex(l2)))
-            return rows
-        for i, g in enumerate(block):
-            g = float(g)
-            if stride and (start + i) % stride == 0:
-                evaluator.audit(g)
-            lv1, lv2 = evaluator.l_values(g)
-            b = evaluator.b_value(g)
-            rows.append((b * lv1.value, b * lv2.value))
+        for g, l1, l2 in zip(block, l1s, l2s):
+            b = evaluator.b_value(float(g))
+            rows.append((b * complex(l1), b * complex(l2)))
         return rows
 
-    rows = _map_ordered_chunks(worker, gammas, parallel)
+    def afe_row(g):
+        lv1, lv2 = evaluator.l_values(g)
+        b = evaluator.b_value(g)
+        return b * lv1.value, b * lv2.value
+
+    if method == "oracle":
+        rows = _map_ordered_chunks(oracle_worker, gammas, parallel)
+    else:
+        rows = _audited_rows(afe_row, evaluator.audit, gammas, stride, parallel)
     s1 = neumaier_sum_complex(r[0] for r in rows)
     s2 = neumaier_sum_complex(r[1] for r in rows)
-    a_values = [r[0] - r[1] for r in rows]
-    sum_a = neumaier_sum_complex(a_values)
-    sum_abs2 = neumaier_sum(abs(a) ** 2 for a in a_values)
-    lower = abs(sum_a) ** 2 / sum_abs2 if sum_abs2 > 0.0 else 0.0
+    sum_a, sum_abs2, lower = _cauchy_schwarz([r[0] - r[1] for r in rows])
 
     scale = (t / (2.0 * math.pi)) * math.log(t / (2.0 * math.pi))
     m1 = cfg.c1.conjugate() * scale

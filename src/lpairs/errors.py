@@ -69,10 +69,6 @@ class SearchExhausted(PreconditionError):
     pass
 
 
-class ConfigError(PreconditionError):
-    pass
-
-
 # --- data errors -----------------------------------------------------------
 
 class ParseError(DataError):

@@ -13,15 +13,20 @@ carries a large margin).  Boundary terms with n = x integral are
 included in the first window; both windows use the same convention.
 Any real Delta >= 1 is accepted.
 
-The two window sums have one implementation, AfeWindows: a table of
+The AFE value has one implementation, AfeWindows.value(t): a table of
 chi(n) n^{-sigma}, conj chi(m) m^{sigma-1} and log n for one character,
-sigma, Delta and t_max.  l_afe builds it for its single height; the
-thm1 and thm2 evaluators build it once for every height up to T.  The
-callers multiply the second sum by X(s, chi) and add the remainder bound.
+sigma, Delta and t_max gives both window sums; the value is the first
+plus X(s, chi) times the second, with the remainder bound.  l_afe builds
+the table for its single height; the thm1 and thm2 evaluators build it
+once for every height up to T.
 
 l_oracle is the slow independent evaluator through Hurwitz zeta:
 L(s, chi) = q^{-s} sum_{a=1}^{q} chi(a) zeta(s, a/q), certified to 1e-9.
-Its scalar route is the batched Euler-Maclaurin kernel on one height.
+That sum has one implementation, l_via_hurwitz, which also serves the
+Euler-product route of the limit constants; each zeta(s, a/q) is the
+batched Euler-Maclaurin kernel on one height.  l_oracle_critical_batch
+is the route batched over heights on the critical line, with the same
+1e4 height ceiling and 1e-9 certificate.
 """
 
 from __future__ import annotations
@@ -88,6 +93,8 @@ class AfeWindows:
     def __init__(self, chi: DirichletCharacter, sigma: float, delta: float,
                  t_max: float):
         q = chi.modulus
+        self.chi = chi
+        self.sigma = sigma
         self.delta = delta
         self.root = math.sqrt(q / (2.0 * math.pi))  # x = delta * root * sqrt(t)
         n = np.arange(1, int(delta * self.root * math.sqrt(t_max)) + 3)
@@ -107,6 +114,13 @@ class AfeWindows:
         return (complex(np.sum(self._w[:k] * phases[:k])),
                 complex(np.sum(self._v[:j] * np.conj(phases[:j]))))
 
+    def value(self, t: float) -> LValue:
+        """L(sigma + i t, chi) = first + X(s, chi) second, with its remainder bound."""
+        first, second = self.sums(t)
+        value = first + x_factor(complex(self.sigma, t), self.chi) * second
+        return LValue(value, afe_remainder_bound(self.sigma, t, self.chi.modulus,
+                                                 self.delta), "afe")
+
 
 def l_afe(s, chi: DirichletCharacter, delta: float = 1.0) -> LValue:
     """Approximate-functional-equation value of L(s, chi).
@@ -124,9 +138,24 @@ def l_afe(s, chi: DirichletCharacter, delta: float = 1.0) -> LValue:
     if s.imag < _AFE_MIN_HEIGHT:
         raise DomainTooSmall(
             f"AFE requires |t| >= {_AFE_MIN_HEIGHT}; use l_oracle for t = {s.imag}")
-    first, second = AfeWindows(chi, s.real, delta, s.imag).sums(s.imag)
-    value = first + x_factor(s, chi) * second
-    return LValue(value, afe_remainder_bound(s.real, s.imag, chi.modulus, delta), "afe")
+    return AfeWindows(chi, s.real, delta, s.imag).value(s.imag)
+
+
+def l_via_hurwitz(table, s, tol: float) -> tuple[complex, float]:
+    """m^{-s} sum_a table[a] zeta(s, a/m) for a period-m value table, and
+    the certified zeta bounds summed and scaled by |m^{-s}|."""
+    m = len(table)
+    total = 0j
+    bound = 0.0
+    for a in range(1, m):
+        ca = table[a]
+        if ca == 0:
+            continue
+        v, b = hurwitz_zeta_certified(s, a / m, tol)
+        total += ca * v
+        bound += b
+    scale = m ** (-s)
+    return scale * total, abs(scale) * bound
 
 
 def l_oracle(s, chi: DirichletCharacter, tol: float = 1e-11) -> LValue:
@@ -142,18 +171,8 @@ def l_oracle(s, chi: DirichletCharacter, tol: float = 1e-11) -> LValue:
         # digamma formula L(1, chi) = -(1/q) sum_a chi(a) psi(a/q)
         value = -sum(chi(a) * _digamma_real(a / q) for a in range(1, q)) / q
         return LValue(value, 1e-12, "oracle")
-    total = 0j
-    bound = 0.0
-    for a in range(1, q):
-        ca = chi(a)
-        if ca == 0:
-            continue
-        v, b = hurwitz_zeta_certified(s, a / q, tol)
-        total += ca * v
-        bound += b
-    scale = abs(q ** (-s))
-    value = q ** (-s) * total
-    bound = scale * bound + 8.0 * abs(value) * 2.2e-16
+    value, bound = l_via_hurwitz([chi(a) for a in range(q)], s, tol)
+    bound += 8.0 * abs(value) * 2.2e-16
     if bound > 1e-9:
         raise AccuracyLoss(f"oracle bound {bound:.2e} exceeds 1e-9 at s={s}")
     return LValue(value, bound, "oracle")
@@ -163,14 +182,15 @@ def l_oracle_critical_batch(ts: np.ndarray, chi: DirichletCharacter,
                             tol: float = 1e-11) -> tuple[np.ndarray, float]:
     """Oracle values L(1/2 + i t, chi) for an ascending batch of heights.
 
-    Same Hurwitz route as l_oracle, batched over heights; returns
-    (values, worst certified bound).
+    Same Hurwitz route and contract as l_oracle, batched over heights:
+    |t| <= 1e4 (else HeightExceeded) and a bound <= 1e-9 (else
+    AccuracyLoss).  Returns (values, worst certified bound).
     """
     if chi.is_principal:
         raise PrincipalCharacter("l_oracle requires a non-principal character")
-    tmax = float(ts[-1])
-    if tmax > 1e4:
-        raise HeightExceeded(f"oracle supports heights <= 1e4, got {tmax}")
+    tmax = float(np.max(np.abs(ts)))
+    if not tmax <= 1e4:
+        raise HeightExceeded(f"oracle supports |t| <= 1e4, got {tmax}")
     q = chi.modulus
     total = np.zeros(len(ts), dtype=complex)
     bound = 0.0
@@ -183,4 +203,7 @@ def l_oracle_critical_batch(ts: np.ndarray, chi: DirichletCharacter,
         bound += b
     s = 0.5 + 1j * ts
     prefactor = np.exp(-s * math.log(q))
-    return prefactor * total, bound * q ** -0.5 + 1e-12
+    bound = bound * q ** -0.5 + 1e-12
+    if bound > 1e-9:
+        raise AccuracyLoss(f"oracle batch bound {bound:.2e} exceeds 1e-9")
+    return prefactor * total, bound

@@ -42,8 +42,10 @@ from .errors import (
     PreconditionError,
     SeriesProductDisagreement,
 )
-from .lfunc import AfeWindows, LValue, afe_remainder_bound, l_oracle
+from .lfunc import AfeWindows, LValue, l_oracle, l_via_hurwitz
 from .primes import is_prime, primes_upto
+# perfbench/spans.py wraps x_factor and hurwitz_zeta_certified by this
+# module's attributes, so the names stay importable here
 from .specfun import hurwitz_zeta_certified, x_factor
 from .summation import neumaier_sum, neumaier_sum_complex
 from .zeros import ZeroTable
@@ -136,10 +138,6 @@ def chi_root(chi: DirichletCharacter, n: int, order: int) -> RootSum:
     return RootSum.root(order, e * (order // (chi.modulus - 1)))
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 # --- the mollifier -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -197,7 +195,7 @@ def build_b_polynomial(cutoff: int, chi1: DirichletCharacter,
     if cutoff < max(q, ell):
         raise CutoffTooSmall(
             f"cutoff {cutoff} < max(q, l) = {max(q, ell)}: moduli must lie in the prime set")
-    order = _lcm(q - 1, ell - 1)
+    order = math.lcm(q - 1, ell - 1)
     coeffs = {1: RootSum.one(order)}
     radical = 1
     for p in primes_upto(cutoff):
@@ -395,22 +393,6 @@ def _series_route(series: CoefficientSeries, sigma: float,
     return value, tail + 1e-12, n_limit
 
 
-def _l_value_via_hurwitz(table: np.ndarray, s: float) -> tuple[complex, float]:
-    """L(s, xi) for the periodic twist table: m^{-s} sum_a xi(a) zeta(s, a/m)."""
-    m = len(table)
-    total = 0j
-    bound = 0.0
-    for a in range(1, m):
-        xa = table[a]
-        if xa == 0:
-            continue
-        v, b = hurwitz_zeta_certified(complex(s), a / m, 1e-13)
-        total += xa * v
-        bound += b
-    scale = m ** (-s)
-    return scale * total, scale * bound + 1e-13
-
-
 def _product_route(series: CoefficientSeries, sigma: float) -> tuple[complex, float]:
     """Euler-product form, completed exactly beyond the mollifier primes.
 
@@ -427,7 +409,8 @@ def _product_route(series: CoefficientSeries, sigma: float) -> tuple[complex, fl
     for p in bpoly.primes:
         if p != excluded:
             finite *= 1.0 - p ** -two_sigma
-    l_val, l_bound = _l_value_via_hurwitz(twist, two_sigma)
+    l_val, l_bound = l_via_hurwitz(twist, two_sigma, 1e-13)
+    l_bound += 1e-13
     completion = 1 + 0j
     for p in bpoly.primes:
         completion *= 1.0 - twist[p % len(twist)] * p ** -two_sigma
@@ -513,14 +496,7 @@ class ThmOneEvaluator:
 
     def l_values(self, gamma: float) -> tuple[LValue, LValue]:
         """AFE values of L(s, chi1), L(s, chi2) at s = sigma + i gamma."""
-        s = complex(self.sigma, gamma)
-        out = []
-        for chi, win in ((self.chi1, self._win1), (self.chi2, self._win2)):
-            first, second = win.sums(gamma)
-            out.append(LValue(first + x_factor(s, chi) * second,
-                              afe_remainder_bound(self.sigma, gamma, chi.modulus, win.delta),
-                              "afe"))
-        return out[0], out[1]
+        return self._win1.value(gamma), self._win2.value(gamma)
 
     def a_value(self, gamma: float) -> complex:
         lv1, lv2 = self.l_values(gamma)
@@ -607,6 +583,32 @@ def _audit_stride(audit_rate: float) -> int:
     return int(round(1.0 / audit_rate)) if audit_rate > 0 else 0
 
 
+def _audited_rows(row, audit, gammas: np.ndarray, stride: int, parallel: bool) -> list:
+    """row(gamma) at every height in table order; audit(gamma) runs first
+    at table indices 0, stride, 2 stride, ... (none when stride is 0)."""
+
+    def worker(chunk):
+        start, block = chunk
+        rows = []
+        for i, g in enumerate(block):
+            g = float(g)
+            if stride and (start + i) % stride == 0:
+                audit(g)
+            rows.append(row(g))
+        return rows
+
+    return _map_ordered_chunks(worker, gammas, parallel)
+
+
+def _cauchy_schwarz(a_values: list) -> tuple[complex, float, float]:
+    """(sum A, sum |A|^2, |sum A|^2 / sum |A|^2), the last a lower bound for
+    #{A != 0}; it is 0 when every A vanishes."""
+    sum_a = neumaier_sum_complex(a_values)
+    sum_abs2 = neumaier_sum(abs(a) ** 2 for a in a_values)
+    lower = abs(sum_a) ** 2 / sum_abs2 if sum_abs2 > 0.0 else 0.0
+    return sum_a, sum_abs2, lower
+
+
 def thm1_report(zeros: ZeroTable, t: float, sigma: float,
                 chi1: DirichletCharacter, chi2: DirichletCharacter,
                 cutoff: int | None = None, audit_rate: float = 0.01,
@@ -626,20 +628,9 @@ def thm1_report(zeros: ZeroTable, t: float, sigma: float,
     bpoly = build_b_polynomial(cutoff, chi1, chi2)
     gammas = zeros.up_to(t)
     evaluator = ThmOneEvaluator(bpoly, sigma, t)
-
-    def worker(chunk):
-        start, block = chunk
-        values = []
-        for i, g in enumerate(block):
-            if stride and (start + i) % stride == 0:
-                evaluator.audit(float(g))
-            values.append(evaluator.a_value(float(g)))
-        return values
-
-    a_values = _map_ordered_chunks(worker, gammas, parallel)
-    sum_a = neumaier_sum_complex(a_values)
-    sum_abs2 = neumaier_sum(abs(a) ** 2 for a in a_values)
-    lower = abs(sum_a) ** 2 / sum_abs2 if sum_abs2 > 0.0 else 0.0
+    a_values = _audited_rows(evaluator.a_value, evaluator.audit, gammas,
+                             stride, parallel)
+    sum_a, sum_abs2, lower = _cauchy_schwarz(a_values)
     return MeanValueReport(
         t=t, n_zeros=len(gammas), sum_a=sum_a, sum_abs_a2=sum_abs2,
         predicted_c=predicted_constant(bpoly, sigma),

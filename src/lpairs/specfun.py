@@ -278,12 +278,8 @@ def hurwitz_zeta_certified(s, a, tol: float = 1e-12) -> tuple[complex, float]:
 
 def zeta_em(s, tol: float = 1e-12) -> complex:
     """Riemann zeta by Euler-Maclaurin (the oracle backbone)."""
-    value, _ = zeta_em_certified(s, tol)
+    value, _ = hurwitz_zeta_certified(s, 1.0, tol)
     return value
-
-
-def zeta_em_certified(s, tol: float = 1e-12) -> tuple[complex, float]:
-    return hurwitz_zeta_certified(s, 1.0, tol)
 
 
 # --- Hardy Z -----------------------------------------------------------------

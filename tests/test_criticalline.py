@@ -83,8 +83,8 @@ def test_make_config_defaults(chi3, chi5):
 
 
 def test_evaluator_matches_standalone_afe(chi3, chi5):
-    # same formula, two code paths: the fast evaluator must reproduce
-    # l_afe (Delta = 1) to rounding noise
+    # one AFE value (AfeWindows.value) behind both: the evaluator
+    # reproduces l_afe (Delta = 1) exactly
     from lpairs.lfunc import l_afe
     cfg = make_config(chi3, chi5)
     ev = ThmTwoEvaluator(cfg, 600.0)
@@ -92,8 +92,8 @@ def test_evaluator_matches_standalone_afe(chi3, chi5):
         lv1, lv2 = ev.l_values(g)
         ref1 = l_afe(complex(0.5, g), chi3, 1.0)
         ref2 = l_afe(complex(0.5, g), chi5, 1.0)
-        assert abs(lv1.value - ref1.value) < 1e-10
-        assert abs(lv2.value - ref2.value) < 1e-10
+        assert lv1.value == ref1.value
+        assert lv2.value == ref2.value
         assert lv1.bound == ref1.bound
 
 
@@ -191,6 +191,26 @@ def test_first_moment_check_is_live(zeros1000, chi3, chi5, first_moment_check):
     for name, mains in planted.items():
         ok, rows = first_moment_check(rep, cfg, mains)
         assert not ok, f"{name}: {rows}"
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_report_audits_table_indices_across_chunks(zeros1000, chi3, chi5,
+                                                   monkeypatch, parallel):
+    # 649 zeros in two 512-height chunks: rate 0.01 audits table indices
+    # 0, 100, ..., 600, not 512 and 612 as a per-chunk stride would
+    audited = []
+    audit = ThmTwoEvaluator.audit
+
+    def recording(ev, gamma):
+        audited.append(gamma)
+        audit(ev, gamma)
+
+    monkeypatch.setattr(ThmTwoEvaluator, "audit", recording)
+    thm2_report(zeros1000, 1000.0, make_config(chi3, chi5), audit_rate=0.01,
+                parallel=parallel)
+    gammas = zeros1000.up_to(1000.0)
+    assert len(gammas) == 649
+    assert sorted(audited) == [float(g) for g in gammas[::100]]
 
 
 def test_report_oracle_method(zeros100, chi3, chi5):

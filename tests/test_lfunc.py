@@ -5,6 +5,7 @@ import pytest
 
 from lpairs.characters import character
 from lpairs.errors import (
+    AccuracyLoss,
     DomainTooSmall,
     HeightExceeded,
     OutOfStrip,
@@ -118,6 +119,23 @@ def test_batch_oracle_matches_scalar(chi5):
     for t, got in zip(ts, batch):
         ref = l_oracle(complex(0.5, t), chi5)
         assert abs(got - ref.value) <= bound + ref.bound
+
+
+def test_batch_oracle_checks_every_height_against_the_ceiling(chi5):
+    # the ceiling used to be read off the last height only, which let a
+    # height of 2e4 through with a bound above the 1e-9 certificate
+    with pytest.raises(HeightExceeded):
+        l_oracle_critical_batch(np.array([2e4, 100.0]), chi5)
+    with pytest.raises(HeightExceeded):
+        l_oracle_critical_batch(np.array([100.0, math.nan]), chi5)
+
+
+def test_batch_oracle_enforces_its_certificate(chi5):
+    # like l_oracle, a worst bound above 1e-9 raises instead of returning
+    with pytest.raises(AccuracyLoss):
+        l_oracle_critical_batch(np.array([100.0]), chi5, tol=1e-6)
+    with pytest.raises(AccuracyLoss):
+        l_oracle(complex(0.5, 100.0), chi5, tol=1e-6)
 
 
 def test_afe_windows_match_literal_power_sums(chi3, chi5):

@@ -190,7 +190,8 @@ class TestStatistic:
         assert abs(afe - oracle) <= budget
 
     def test_evaluator_matches_standalone_afe(self, bpoly):
-        # the fast evaluator must reproduce l_afe at its window choices
+        # one AFE value (AfeWindows.value) behind both: the evaluator
+        # reproduces l_afe at its window choices exactly
         from lpairs.lfunc import l_afe
         ev = ThmOneEvaluator(bpoly, 0.75, 200.0)
         for g in (14.2, 60.5, 199.0):
@@ -198,8 +199,8 @@ class TestStatistic:
             s = complex(0.75, g)
             ref1 = l_afe(s, bpoly.chi1, ev.delta1)
             ref2 = l_afe(s, bpoly.chi2, ev.delta2)
-            assert abs(lv1.value - ref1.value) < 1e-10
-            assert abs(lv2.value - ref2.value) < 1e-10
+            assert lv1.value == ref1.value
+            assert lv2.value == ref2.value
             assert lv1.bound == ref1.bound
             assert lv2.bound == ref2.bound
 
@@ -255,6 +256,27 @@ class TestReport:
         # audit_rate = 1 re-checks every height through the oracle
         rep = thm1_report(zeros100, 50.0, 0.75, chi3, chi5, audit_rate=1.0)
         assert rep.n_zeros == zeros100.count(50.0)
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_report_audits_table_indices_across_chunks(self, zeros1000, chi3, chi5,
+                                                       monkeypatch, parallel):
+        # the 649 zeros below 1000 span two 512-height chunks; the audit
+        # stride counts table indices, so rate 0.01 audits indices 0, 100,
+        # ..., 600 (a stride counted within each chunk would audit 512 and
+        # 612 instead of 600)
+        audited = []
+        audit = ThmOneEvaluator.audit
+
+        def recording(ev, gamma):
+            audited.append(gamma)
+            audit(ev, gamma)
+
+        monkeypatch.setattr(ThmOneEvaluator, "audit", recording)
+        thm1_report(zeros1000, 1000.0, 0.75, chi3, chi5, audit_rate=0.01,
+                    parallel=parallel)
+        gammas = zeros1000.up_to(1000.0)
+        assert len(gammas) == 649
+        assert sorted(audited) == [float(g) for g in gammas[::100]]
 
     @pytest.mark.parametrize("rate", [3.0, -1.0, math.nan, math.inf])
     def test_report_rejects_out_of_range_audit_rate(self, zeros100, chi3, chi5, rate):

@@ -30,7 +30,15 @@ from lpairs.specfun import (
 )
 
 mp = pytest.importorskip("mpmath")
-mp.mp.dps = 40
+
+
+@pytest.fixture
+def dps40():
+    """mpmath at 40 digits for the tests that compare against it; the
+    setting ends with the test, so other modules keep the default."""
+    with mp.workdps(40):
+        yield
+
 
 # 50-digit mpmath references, frozen
 LOG_GAMMA_2_3I = complex(-2.0928517530927333495641886250303752616932852964474,
@@ -62,6 +70,7 @@ class TestLogGamma:
             with pytest.raises(PoleAtNonPositiveInteger):
                 log_gamma(z)
 
+    @pytest.mark.usefixtures("dps40")
     def test_random_grid_against_mpmath(self):
         rng = random.Random(11)
         for _ in range(120):
@@ -95,6 +104,7 @@ class TestTheta:
         vals = [riemann_siegel_theta(t) for t in ts]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.usefixtures("dps40")
     def test_against_quadrature_oracle(self):
         # integrate theta'(u) = Re psi(1/4 + iu/2)/2 - log(pi)/2 from an
         # exact anchor at t = 10 up to 100 (independent of the expansion)
@@ -127,6 +137,7 @@ class TestZeta:
         for s in (2.0, 0.5 + 30j, 0.75 + 500j):
             assert hurwitz_zeta(s, 1.0) == zeta_em(s)
 
+    @pytest.mark.usefixtures("dps40")
     def test_certified_bounds_hold_against_mpmath(self):
         rng = random.Random(5)
         for _ in range(40):
@@ -272,6 +283,7 @@ RS_HEIGHTS = (200.0, 200.5, 226.1946710584651, 263.7, 407.3, 600.0, 1000.0,
               6283.185, 7005.1, 7777.7, 8600.3, 9400.0, 1e4)
 
 
+@pytest.mark.usefixtures("dps40")
 class TestRiemannSiegel:
     def test_coefficient_table_rederived_from_psi(self):
         derived = _rs_coefficients_from_psi(70)
