@@ -25,7 +25,13 @@ from .landau import (
     rational_point,
 )
 from .lfunc import l_afe, l_oracle
-from .meanvalues import MeanValueReport, build_b_polynomial, thm1_report
+from .meanvalues import (
+    MeanValueReport,
+    _audit_stride,
+    _check_sigma,
+    build_b_polynomial,
+    thm1_report,
+)
 from .specfun import hardy_z, zeta_em
 from .zeros import compute_zeros, load_zeros
 
@@ -139,11 +145,13 @@ def _cmd_thm1(args) -> None:
     if chi1.is_principal or chi2.is_principal:
         raise PreconditionError("thm1 characters must be non-principal")
     cutoff = None if args.cutoff == "auto" else int(args.cutoff)
+    # validate before the zero table is loaded or computed
     if cutoff is not None:
-        build_b_polynomial(cutoff, chi1, chi2)  # validate before the long run
+        build_b_polynomial(cutoff, chi1, chi2)
+    _check_sigma(args.sigma)
+    _audit_stride(args.audit_rate)
     _write_sweep(args, MeanValueReport.CSV_HEADER, lambda table, t: thm1_report(
-        table, t, args.sigma, chi1, chi2, cutoff=cutoff,
-        audit_rate=args.audit_rate, parallel=args.parallel))
+        table, t, args.sigma, chi1, chi2, cutoff=cutoff, audit_rate=args.audit_rate))
 
 
 def _cmd_thm2(args) -> None:
@@ -151,8 +159,9 @@ def _cmd_thm2(args) -> None:
     chi2 = parse_character(args.char2)
     p = None if args.p == "auto" else int(args.p)
     cfg = make_config(chi1, chi2, p)
+    _audit_stride(args.audit_rate)  # validate before the zero table is loaded
     _write_sweep(args, ThmTwoReport.CSV_HEADER, lambda table, t: thm2_report(
-        table, t, cfg, audit_rate=args.audit_rate, parallel=args.parallel))
+        table, t, cfg, audit_rate=args.audit_rate))
     print(f"thm2: p = {cfg.p}, C1 = {cfg.c1:.6f}, C2 = {cfg.c2:.6f}",
           file=sys.stderr)
 
@@ -195,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", dest="cutoff", default="auto",
                    help='mollifier cutoff prime, or "auto" for max(q, l)')
     p.add_argument("--oracle-audit", dest="audit_rate", type=float, default=0.01)
-    p.add_argument("--parallel", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_thm1)
 
@@ -205,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default="auto",
                    help='auxiliary prime, or "auto" for the CRT sieve choice')
     p.add_argument("--oracle-audit", dest="audit_rate", type=float, default=0.01)
-    p.add_argument("--parallel", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_thm2)
     return parser

@@ -35,7 +35,8 @@ critical line at desk heights, so rho = 1/2 + i gamma throughout.
 thm2_report is thm1_report with another statistic: the L-values at each
 zero are lfunc.AfeWindows.value, and the audited zero loop and the
 Cauchy-Schwarz reducer are meanvalues._audited_rows and _cauchy_schwarz.
-method "oracle" replaces the loop by l_oracle_critical_batch per chunk.
+method "oracle" replaces the loop by l_oracle_critical_batch over blocks
+of _EVAL_CHUNK heights.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from .characters import DirichletCharacter, gauss_sum
 from .errors import OracleAuditFailure, PreconditionError, SearchExhausted
 from .lfunc import AfeWindows, LValue, l_oracle, l_oracle_critical_batch
-from .meanvalues import _audit_stride, _audited_rows, _cauchy_schwarz, _map_ordered_chunks
+from .meanvalues import _audit_stride, _audited_rows, _cauchy_schwarz
 from .primes import is_prime
 # perfbench/spans.py wraps x_factor and neumaier_sum by this module's
 # attributes, so the names stay importable here
@@ -55,6 +56,8 @@ from .summation import neumaier_sum, neumaier_sum_complex
 from .zeros import ZeroTable
 
 _P_SEARCH_BOUND = 10 ** 6
+# heights per oracle batch; bounds the Hurwitz kernel's height x term array
+_EVAL_CHUNK = 512
 
 
 def choose_p(chi1: DirichletCharacter, chi2: DirichletCharacter) -> int:
@@ -153,8 +156,8 @@ class ThmTwoEvaluator:
 
 def a2_gamma(gamma: float, cfg: CriticalLineConfig, method: str = "afe") -> complex:
     """A(gamma) = p^rho (L(rho, chi1) - L(rho, chi2)), rho = 1/2 + i gamma."""
-    if gamma <= 10.0:
-        raise PreconditionError(f"statistic needs gamma > 10, got {gamma}")
+    if not 10.0 < gamma < math.inf:  # nan fails the comparison
+        raise PreconditionError(f"statistic needs a finite gamma > 10, got {gamma}")
     ev = ThmTwoEvaluator(cfg, gamma)
     if method == "oracle":
         s = complex(0.5, gamma)
@@ -194,8 +197,7 @@ class ThmTwoReport:
 
 
 def thm2_report(zeros: ZeroTable, t: float, cfg: CriticalLineConfig,
-                audit_rate: float = 0.01, parallel: bool = False,
-                method: str = "afe") -> ThmTwoReport:
+                audit_rate: float = 0.01, method: str = "afe") -> ThmTwoReport:
     """Critical-line zero sums, with per-character sums emitted separately.
 
     The difference of two slowly converging sums is noisier than either,
@@ -211,25 +213,22 @@ def thm2_report(zeros: ZeroTable, t: float, cfg: CriticalLineConfig,
     gammas = zeros.up_to(t)
     evaluator = ThmTwoEvaluator(cfg, t)
 
-    def oracle_worker(chunk):
-        _, block = chunk
-        l1s, _ = l_oracle_critical_batch(block, cfg.chi1)
-        l2s, _ = l_oracle_critical_batch(block, cfg.chi2)
-        rows = []
-        for g, l1, l2 in zip(block, l1s, l2s):
-            b = evaluator.b_value(float(g))
-            rows.append((b * complex(l1), b * complex(l2)))
-        return rows
-
     def afe_row(g):
         lv1, lv2 = evaluator.l_values(g)
         b = evaluator.b_value(g)
         return b * lv1.value, b * lv2.value
 
     if method == "oracle":
-        rows = _map_ordered_chunks(oracle_worker, gammas, parallel)
+        rows = []
+        for start in range(0, len(gammas), _EVAL_CHUNK):
+            block = gammas[start:start + _EVAL_CHUNK]
+            l1s, _ = l_oracle_critical_batch(block, cfg.chi1)
+            l2s, _ = l_oracle_critical_batch(block, cfg.chi2)
+            for g, l1, l2 in zip(block, l1s, l2s):
+                b = evaluator.b_value(float(g))
+                rows.append((b * complex(l1), b * complex(l2)))
     else:
-        rows = _audited_rows(afe_row, evaluator.audit, gammas, stride, parallel)
+        rows = _audited_rows(afe_row, evaluator.audit, gammas, stride)
     s1 = neumaier_sum_complex(r[0] for r in rows)
     s2 = neumaier_sum_complex(r[1] for r in rows)
     sum_a, sum_abs2, lower = _cauchy_schwarz([r[0] - r[1] for r in rows])

@@ -132,6 +132,8 @@ def l_afe(s, chi: DirichletCharacter, delta: float = 1.0) -> LValue:
     _require_strip_char(s, chi)
     if delta < 1.0:
         raise DomainTooSmall(f"window parameter Delta must be >= 1, got {delta}")
+    if not math.isfinite(s.imag):
+        raise DomainTooSmall(f"AFE requires a finite height, got t = {s.imag}")
     if s.imag <= -_AFE_MIN_HEIGHT:
         mirrored = l_afe(s.conjugate(), chi.conjugate(), delta)
         return LValue(mirrored.value.conjugate(), mirrored.bound, "afe")
@@ -163,7 +165,7 @@ def l_oracle(s, chi: DirichletCharacter, tol: float = 1e-11) -> LValue:
     s = complex(s)
     if chi.is_principal:
         raise PrincipalCharacter("l_oracle requires a non-principal character")
-    if abs(s.imag) > 1e4:
+    if not abs(s.imag) <= 1e4:  # nan fails the comparison
         raise HeightExceeded(f"oracle supports |Im s| <= 1e4, got {s.imag}")
     q = chi.modulus
     if s == 1:

@@ -29,7 +29,6 @@ The nonvanishing count bound is Cauchy-Schwarz:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +50,6 @@ from .summation import neumaier_sum, neumaier_sum_complex
 from .zeros import ZeroTable
 
 _SIEVE_CHUNK = 1 << 21
-_EVAL_CHUNK = 512
 
 
 # --- exact root-of-unity arithmetic ------------------------------------------
@@ -150,7 +148,6 @@ class BPolynomial:
     coeffs: dict[int, RootSum]       # n -> c_n, only nonzero entries
     support_bound: int               # R = (prod_{p <= P} p)^2
     order: int                       # cyclotomic order lcm(q-1, l-1)
-    _eval_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def primes(self) -> list[int]:
@@ -161,14 +158,9 @@ class BPolynomial:
 
     def complex_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """(support, values) arrays for numeric evaluation, ascending n."""
-        cached = self._eval_cache.get("complex")
-        if cached is None:
-            ns = np.array(sorted(self.coeffs), dtype=float)
-            cs = np.array([self.coeffs[int(n)].to_complex() for n in ns],
-                          dtype=complex)
-            cached = (ns, cs)
-            self._eval_cache["complex"] = cached
-        return cached
+        ns = np.array(sorted(self.coeffs), dtype=float)
+        cs = np.array([self.coeffs[int(n)].to_complex() for n in ns], dtype=complex)
+        return ns, cs
 
     def sum_abs_coefficients(self) -> float:
         ns, cs = self.complex_coefficients()
@@ -418,10 +410,15 @@ def _product_route(series: CoefficientSeries, sigma: float) -> tuple[complex, fl
     return value, abs(finite * completion) * l_bound + 1e-12
 
 
-def _series_constant(series: CoefficientSeries, sigma: float,
-                     tol_tail: float) -> SeriesConstant:
+def _check_sigma(sigma: float) -> None:
+    """Theorem 1's abscissa: 1/2 < sigma < 1 (nan fails the comparison)."""
     if not 0.5 < sigma < 1.0:
         raise PreconditionError(f"need 1/2 < sigma < 1, got {sigma}")
+
+
+def _series_constant(series: CoefficientSeries, sigma: float,
+                     tol_tail: float) -> SeriesConstant:
+    _check_sigma(sigma)
     bp = series.bpoly
     key = (series.kind, bp.chi1.modulus, bp.chi1.index, bp.chi2.modulus,
            bp.chi2.index, bp.cutoff, round(sigma, 12), tol_tail)
@@ -474,8 +471,7 @@ class ThmOneEvaluator:
     """
 
     def __init__(self, bpoly: BPolynomial, sigma: float, t_max: float):
-        if not 0.5 < sigma < 1.0:
-            raise PreconditionError(f"need 1/2 < sigma < 1, got {sigma}")
+        _check_sigma(sigma)
         self.bpoly = bpoly
         self.sigma = sigma
         self.chi1 = bpoly.chi1
@@ -528,8 +524,8 @@ class ThmOneEvaluator:
 def a1_gamma(gamma: float, sigma: float, bpoly: BPolynomial,
              method: str = "afe") -> complex:
     """The linear-independence statistic at s = sigma + i gamma (gamma > 10)."""
-    if gamma <= 10.0:
-        raise PreconditionError(f"statistic needs gamma > 10, got {gamma}")
+    if not 10.0 < gamma < math.inf:  # nan fails the comparison
+        raise PreconditionError(f"statistic needs a finite gamma > 10, got {gamma}")
     ev = ThmOneEvaluator(bpoly, sigma, gamma)
     if method == "oracle":
         return ev.a_value_oracle(gamma)
@@ -561,21 +557,6 @@ class MeanValueReport:
         return ",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in cells)
 
 
-def _map_ordered_chunks(worker, gammas: np.ndarray, parallel: bool) -> list:
-    """Apply worker to fixed chunks; combine in chunk order regardless of
-    scheduling, so parallel and serial runs are bit-identical."""
-    chunks = [(i, gammas[i:i + _EVAL_CHUNK]) for i in range(0, len(gammas), _EVAL_CHUNK)]
-    if parallel and len(chunks) > 1:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(worker, chunks))
-    else:
-        results = [worker(c) for c in chunks]
-    out = []
-    for r in results:
-        out.extend(r)
-    return out
-
-
 def _audit_stride(audit_rate: float) -> int:
     """Heights per oracle audit for a rate in [0, 1]; 0 means no audits."""
     if not 0.0 <= audit_rate <= 1.0:  # also catches nan
@@ -583,21 +564,16 @@ def _audit_stride(audit_rate: float) -> int:
     return int(round(1.0 / audit_rate)) if audit_rate > 0 else 0
 
 
-def _audited_rows(row, audit, gammas: np.ndarray, stride: int, parallel: bool) -> list:
+def _audited_rows(row, audit, gammas: np.ndarray, stride: int) -> list:
     """row(gamma) at every height in table order; audit(gamma) runs first
     at table indices 0, stride, 2 stride, ... (none when stride is 0)."""
-
-    def worker(chunk):
-        start, block = chunk
-        rows = []
-        for i, g in enumerate(block):
-            g = float(g)
-            if stride and (start + i) % stride == 0:
-                audit(g)
-            rows.append(row(g))
-        return rows
-
-    return _map_ordered_chunks(worker, gammas, parallel)
+    rows = []
+    for i, g in enumerate(gammas):
+        g = float(g)
+        if stride and i % stride == 0:
+            audit(g)
+        rows.append(row(g))
+    return rows
 
 
 def _cauchy_schwarz(a_values: list) -> tuple[complex, float, float]:
@@ -611,8 +587,7 @@ def _cauchy_schwarz(a_values: list) -> tuple[complex, float, float]:
 
 def thm1_report(zeros: ZeroTable, t: float, sigma: float,
                 chi1: DirichletCharacter, chi2: DirichletCharacter,
-                cutoff: int | None = None, audit_rate: float = 0.01,
-                parallel: bool = False) -> MeanValueReport:
+                cutoff: int | None = None, audit_rate: float = 0.01) -> MeanValueReport:
     """Accumulate sum A(gamma), sum |A|^2 and the Cauchy-Schwarz count bound.
 
     cutoff = None resolves to max(q, l), the smallest prime admitted by
@@ -628,8 +603,7 @@ def thm1_report(zeros: ZeroTable, t: float, sigma: float,
     bpoly = build_b_polynomial(cutoff, chi1, chi2)
     gammas = zeros.up_to(t)
     evaluator = ThmOneEvaluator(bpoly, sigma, t)
-    a_values = _audited_rows(evaluator.a_value, evaluator.audit, gammas,
-                             stride, parallel)
+    a_values = _audited_rows(evaluator.a_value, evaluator.audit, gammas, stride)
     sum_a, sum_abs2, lower = _cauchy_schwarz(a_values)
     return MeanValueReport(
         t=t, n_zeros=len(gammas), sum_a=sum_a, sum_abs_a2=sum_abs2,

@@ -1,10 +1,8 @@
 """Compensated summation helpers.
 
 All long reductions in the workbench go through these routines so that
-results are deterministic and reproducible: a fixed chunk layout with
-Neumaier (improved Kahan) accumulation gives bit-identical sums whether
-the chunks are evaluated serially or farmed out to workers, as long as
-the combine order is fixed.
+results are deterministic and reproducible: Neumaier (improved Kahan)
+accumulation in a fixed order gives bit-identical sums on every rerun.
 """
 
 from __future__ import annotations

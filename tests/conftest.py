@@ -1,9 +1,40 @@
 import functools
 import math
+import os
+import shutil
+import tempfile
 
 import pytest
 
 from lpairs import character, compute_zeros
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip through pytest.importorskip
+    pass
+else:
+    # derandomized and without an example database, so property tests
+    # draw the same examples on every run
+    settings.register_profile("lpairs", derandomize=True, database=None,
+                              deadline=None, max_examples=60)
+    settings.load_profile("lpairs")
+
+
+def pytest_configure(config):
+    """Hypothesis caches the constants it reads from local source even
+    without a database; keep that cache in a temporary directory removed
+    at exit, not in a .hypothesis/ in the working tree."""
+    if os.environ.get("HYPOTHESIS_STORAGE_DIRECTORY"):
+        return
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = home
+
+    def cleanup():
+        os.environ.pop("HYPOTHESIS_STORAGE_DIRECTORY", None)
+        shutil.rmtree(home, ignore_errors=True)
+
+    config.add_cleanup(cleanup)
+
 
 # Dual-window allowance A of the critical-line O(T) check, in units of
 # T/2pi: one unit, the size of |C_chi|.  The paper does not give the

@@ -75,15 +75,20 @@ def test_env_var_default(zero_file, tmp_path, monkeypatch):
     assert out.exists()
 
 
-def test_thm1_reproducible_and_parallel_identical(zero_file, tmp_path):
+def test_thm1_reproducible(zero_file, tmp_path):
     args = ["thm1", "--T", "100", "--sigma", "0.75", "--char1", "3:1",
             "--char2", "5:2", "--zeros", zero_file]
     outs = []
-    for name, extra in (("a.csv", []), ("b.csv", []), ("c.csv", ["--parallel"])):
+    for name in ("a.csv", "b.csv"):
         path = tmp_path / name
-        assert run(args + extra + ["--output", str(path)]) == 0
+        assert run(args + ["--output", str(path)]) == 0
         outs.append(path.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", ["thm1", "thm2"])
+def test_parallel_flag_rejected(zero_file, command):
+    assert run([command, "--T", "100", "--zeros", zero_file, "--parallel"]) == 1
 
 
 def test_thm1_t_sweep_rows(zero_file, tmp_path):
@@ -107,6 +112,26 @@ def test_thm2_command(zero_file, tmp_path):
 def test_config_error_out_of_range_audit_rate(zero_file, command, rate):
     assert run([command, "--T", "100", "--char1", "3:1", "--char2", "5:2",
                 "--zeros", zero_file, "--oracle-audit", rate]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm1", "--sigma", "0.3"],
+    ["thm1", "--sigma", "nan"],
+    ["thm1", "--oracle-audit", "3"],
+    ["thm2", "--oracle-audit", "3"],
+])
+def test_config_error_before_zero_table(tmp_path, monkeypatch, argv):
+    # a bad --sigma or --oracle-audit is a configuration error (exit 1)
+    # even when the zero file is missing (exit 3) or would be computed
+    import lpairs.cli
+
+    def no_zeros(*args):
+        raise AssertionError("zero table computed before validation")
+
+    monkeypatch.setattr(lpairs.cli, "compute_zeros", no_zeros)
+    missing = str(tmp_path / "nowhere.txt")
+    assert run(argv + ["--T", "100", "--zeros", missing]) == 1
+    assert run(argv + ["--T", "100", "--zeros", "compute"]) == 1
 
 
 def test_seed_check_runs(zero_file, tmp_path):
