@@ -56,7 +56,8 @@ from .summation import neumaier_sum, neumaier_sum_complex
 from .zeros import ZeroTable
 
 _P_SEARCH_BOUND = 10 ** 6
-# heights per oracle batch; bounds the Hurwitz kernel's height x term array
+# heights per oracle batch; each block's largest height sets the Hurwitz
+# kernel's term count N
 _EVAL_CHUNK = 512
 
 

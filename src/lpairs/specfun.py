@@ -10,17 +10,18 @@ certified-bound variants return that bound alongside the value.
 
 Only double precision is used.  Euler-Maclaurin has one body,
 _hurwitz_critical_batch(ts, a, tol, sigma), which needs N ~ 0.62 max|t|
-terms.  The scalar routes are batches of one height: hurwitz_zeta,
-zeta_em (a = 1) and hardy_z, which is _hardy_z_em on one height.  The
-zero engine's Z below t = 200 is _hardy_z_em too.  From t = 200 the zero
-engine's batched Z takes the Riemann-Siegel formula with the corrections
-C_0..C_4 (about sqrt(t/2pi) terms) and certifies each value with Gabcke's
-remainder bound |R_4(t)| <= 0.017 t^(-11/4) plus a float-rounding
-allowance B_RS.  A value too close to zero for that certificate to fix
-its sign, |Z_RS| <= B_RS + B_EM with B_EM the a priori Euler-Maclaurin
-bound, is recomputed by Euler-Maclaurin, so every sign the batch returns
-is the Euler-Maclaurin sign; one Riemann-Siegel value per batch is
-audited against Euler-Maclaurin.
+terms and sums them one height at a time.  The scalar routes are batches
+of one height: hurwitz_zeta, zeta_em (a = 1) and hardy_z, which is
+_hardy_z_em on one height.  The zero engine's Z below t = 200 is
+_hardy_z_em too.  From t = 200 the zero engine's batched Z takes the
+Riemann-Siegel formula with the corrections C_0..C_4 (about sqrt(t/2pi)
+terms) and certifies each value with Gabcke's remainder bound
+|R_4(t)| <= 0.017 t^(-11/4) plus a float-rounding allowance B_RS.  A
+value too close to zero for that certificate to fix its sign,
+|Z_RS| <= B_RS + B_EM with B_EM the a priori Euler-Maclaurin bound, is
+recomputed by Euler-Maclaurin, so every sign the batch returns is the
+Euler-Maclaurin sign; one Riemann-Siegel value per batch is audited
+against Euler-Maclaurin.
 """
 
 from __future__ import annotations
@@ -211,14 +212,20 @@ def _digamma_real(x: float) -> float:
 
 # --- Euler-Maclaurin Hurwitz zeta -------------------------------------------
 
+def _em_terms(tmax: float) -> int:
+    """Euler-Maclaurin main-sum length N = 0.62 tmax + 8 (at least 20)."""
+    return max(20, int(math.ceil(0.62 * tmax)) + 8)
+
+
 def _hurwitz_critical_batch(ts: np.ndarray, a: float, tol: float = 1e-11,
                             sigma: float = 0.5):
     """zeta(sigma + i t, a) over a batch of heights, with one shared truncation.
 
     The one Euler-Maclaurin body of the workbench: the scalar routes call
-    it on a batch of one height.  N = 0.62 max|t| + 8 terms (at least 20)
-    form the main sum sum_n (n + a)^{-sigma} e^{-i t log(n + a)} in one
-    outer-product pass, so callers should batch heights in narrow windows.
+    it on a batch of one height.  N = _em_terms(max|t|) terms form the
+    main sum sum_n (n + a)^{-sigma} e^{-i t log(n + a)} one height at a
+    time, so memory is O(N) for any batch; N is set by the batch's
+    largest height, so callers should batch heights in narrow windows.
     The truncation remainder after K Bernoulli corrections is bounded by
     Backlund's estimate |(s+2K+1)/(sigma+2K+1)| * |next term|, with K the
     first order where that bound is <= tol at every height.  A
@@ -227,13 +234,16 @@ def _hurwitz_critical_batch(ts: np.ndarray, a: float, tol: float = 1e-11,
     margin.  Returns (values, worst certified bound).
     """
     tmax = float(np.max(np.abs(ts)))
-    n_terms = max(20, int(math.ceil(0.62 * tmax)) + 8)
+    n_terms = _em_terms(tmax)
     base = np.arange(n_terms, dtype=float) + a
     logb = np.log(base)
     amp = base ** -sigma
-    # pairwise np.sum keeps the reduction order fixed (BLAS matvec would
-    # not be reproducible)
-    values = np.sum(np.exp(np.outer(-1j * ts, logb)) * amp, axis=1)
+    # one row per pass: each row's pairwise np.sum (a fixed reduction
+    # order; BLAS matvec would not be reproducible) equals that row of a
+    # whole-batch pass, without the batch x N temporaries
+    values = np.empty(len(ts), dtype=complex)
+    for i in range(len(ts)):
+        values[i:i + 1] = np.sum(np.exp(np.outer(-1j * ts[i:i + 1], logb)) * amp, axis=1)
     s = sigma + 1j * ts
     na = float(n_terms + a)
     values += na ** (1.0 - s) / (s - 1.0) + 0.5 * na ** (-s)
@@ -267,6 +277,8 @@ def hurwitz_zeta(s, a, tol: float = 1e-12) -> complex:
 def hurwitz_zeta_certified(s, a, tol: float = 1e-12) -> tuple[complex, float]:
     """(value, certified absolute error bound) for zeta(s, a)."""
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainTooSmall(f"zeta(s, a) needs a finite s, got {s}")
     if s == 1:
         raise PoleAtOne("zeta(s, a) has a pole at s = 1")
     a = float(a)
@@ -313,7 +325,7 @@ def _em_critical_bound(tmax: float, tol: float) -> float:
     error only turns Z into Z cos(error), so this last term also covers
     the rounding of e^{i theta} zeta while |zeta| < 1000.
     """
-    n_terms = max(20, int(math.ceil(0.62 * tmax)) + 8)
+    n_terms = _em_terms(tmax)
     harmonic = math.log(n_terms) + _EULER_GAMMA + 0.5 / n_terms
     rounding = (_EPS * (tmax + 2.0) * math.log(n_terms + 3.0)
                 * math.sqrt(harmonic + 1.0))

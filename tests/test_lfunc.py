@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,16 @@ def test_non_finite_heights_rejected(chi5, t):
         l_oracle(complex(0.5, t), chi5)
     with pytest.raises(DomainTooSmall):
         l_afe(complex(0.75, t), chi5)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_non_finite_real_part_rejected(chi5, sigma):
+    # it used to run the Euler-Maclaurin kernel, warn, and raise
+    # AccuracyLoss, a numerics error, for a bad argument
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainTooSmall):
+            l_oracle(complex(sigma, 100.0), chi5)
 
 
 def test_batch_oracle_matches_scalar(chi5):

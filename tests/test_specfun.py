@@ -3,6 +3,8 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +161,65 @@ class TestZeta:
     def test_shift_domain(self):
         with pytest.raises(DomainTooSmall):
             hurwitz_zeta(2.0, 1.5)
+
+    @pytest.mark.parametrize("s", [complex(math.nan, 100.0), complex(math.inf, 100.0),
+                                   complex(-math.inf, 0.0), complex(0.5, math.nan)])
+    def test_non_finite_argument_rejected(self, s):
+        # a non-finite s used to run the kernel, warn, and raise AccuracyLoss
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainTooSmall):
+                hurwitz_zeta(s, 0.2)
+            with pytest.raises(DomainTooSmall):
+                zeta_em(s)
+
+
+def _one_shot_kernel(ts, a, tol, sigma):
+    """_hurwitz_critical_batch with its main sum formed for the whole batch
+    in one outer-product pass; the tail is the kernel's, operation for
+    operation."""
+    n_terms = specfun._em_terms(float(np.max(np.abs(ts))))
+    base = np.arange(n_terms, dtype=float) + a
+    logb = np.log(base)
+    amp = base ** -sigma
+    values = np.sum(np.exp(np.outer(-1j * ts, logb)) * amp, axis=1)
+    s = sigma + 1j * ts
+    na = float(n_terms + a)
+    values += na ** (1.0 - s) / (s - 1.0) + 0.5 * na ** (-s)
+    b2k = specfun._B2K_OVER_FACT
+    poch = s.copy()
+    values += b2k[0] * poch * na ** (-s - 1.0)
+    for k in range(2, 32):
+        poch = poch * (s + (2 * k - 3)) * (s + (2 * k - 2))
+        values += b2k[k - 1] * poch * na ** (-s - 2.0 * k + 1.0)
+        next_mag = (abs(b2k[k]) * np.abs(poch * (s + (2 * k - 1)) * (s + 2 * k))
+                    * na ** (-sigma - 2.0 * k - 1.0))
+        if np.max(np.abs(s + (2 * k + 1)) / (sigma + 2 * k + 1) * next_mag) <= tol:
+            return values
+    raise AssertionError("the reference tail did not converge")
+
+
+class TestEulerMaclaurinKernel:
+    @pytest.mark.parametrize("t0", [14.0, 4800.0, 9900.0])
+    @pytest.mark.parametrize("sigma", [0.5, 0.75])
+    @pytest.mark.parametrize("a", [1.0, 0.2])
+    def test_streamed_main_sum_equals_one_shot_pass(self, a, sigma, t0):
+        # each height's pairwise sum is the same row of the one-shot pass,
+        # so every caller gets the same bits
+        ts = np.linspace(t0, t0 + 100.0, 512)
+        values, _ = specfun._hurwitz_critical_batch(ts, a, 1e-11, sigma)
+        assert np.array_equal(values, _one_shot_kernel(ts, a, 1e-11, sigma))
+
+    def test_memory_is_one_height_of_terms(self):
+        # a whole-batch pass holds 512 x 6,208 complex temporaries (~100 MB)
+        ts = np.linspace(9500.0, 1e4, 512)
+        tracemalloc.start()
+        try:
+            specfun._hurwitz_critical_batch(ts, 0.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 class TestHardyZ:

@@ -1,4 +1,5 @@
 import random
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from lpairs.errors import (
     PreconditionError,
     RangeExceeded,
 )
-from lpairs.zeros import compute_zeros, load_zeros, rvm_band, rvm_estimate
+from lpairs.zeros import ZeroTable, compute_zeros, load_zeros, rvm_band, rvm_estimate
 
 REPO = Path(__file__).resolve().parent.parent
 GAMMA_1 = 14.134725141734693790
@@ -126,6 +127,30 @@ def test_round_trip_is_exact(tmp_path, zeros100):
     zeros100.save(path)
     back = load_zeros(path)
     assert np.array_equal(back.ordinates, zeros100.ordinates)
+
+
+def test_round_trip_property(zeros100):
+    # any ascending ordinates above 10 with gaps above 1e-9 that pass the
+    # load checks: the zeros below 100, each moved by up to 0.1 (their
+    # gaps exceed 1), with one extra ordinate 2e-9 to 1e-3 above another
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    n = len(zeros100)
+
+    @hypothesis.given(st.lists(st.floats(-0.1, 0.1), min_size=n, max_size=n),
+                      st.integers(0, n), st.floats(2e-9, 1e-3))
+    def round_trip(shifts, extra, gap):
+        gammas = zeros100.ordinates + np.array(shifts)
+        if extra < n:
+            gammas = np.insert(gammas, extra + 1, gammas[extra] + gap)
+        table = ZeroTable(ordinates=gammas, source="computed", precision=1e-9,
+                          t_max=float(gammas[-1]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "zeros.txt"
+            table.save(path)
+            assert np.array_equal(load_zeros(path).ordinates, gammas)
+
+    round_trip()
 
 
 def test_claimed_precision_against_reference(zeros100):
