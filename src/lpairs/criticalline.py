@@ -147,8 +147,9 @@ class ThmTwoEvaluator:
         o1 = l_oracle(s, self.cfg.chi1)
         o2 = l_oracle(s, self.cfg.chi2)
         tol = self._amp_p * (lv1.bound + lv2.bound + o1.bound + o2.bound) + 1e-9
-        afe_a = self.b_value(gamma) * (lv1.value - lv2.value)
-        oracle_a = self.b_value(gamma) * (o1.value - o2.value)
+        b = self.b_value(gamma)
+        afe_a = b * (lv1.value - lv2.value)
+        oracle_a = b * (o1.value - o2.value)
         if abs(afe_a - oracle_a) > tol:
             raise OracleAuditFailure(
                 f"A({gamma}): AFE {afe_a} vs oracle {oracle_a} "

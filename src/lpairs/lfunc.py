@@ -22,11 +22,13 @@ once for every height up to T.
 
 l_oracle is the slow independent evaluator through Hurwitz zeta:
 L(s, chi) = q^{-s} sum_{a=1}^{q} chi(a) zeta(s, a/q), certified to 1e-9.
-That sum has one implementation, l_via_hurwitz, which also serves the
-Euler-product route of the limit constants; each zeta(s, a/q) is the
-batched Euler-Maclaurin kernel on one height.  l_oracle_critical_batch
-is the route batched over heights on the critical line, with the same
-1e4 height ceiling and 1e-9 certificate.
+That sum has one implementation, l_via_hurwitz(table, sigma, ts, tol):
+any sigma, a batch of heights, one Euler-Maclaurin kernel call per
+nonzero shift.  It also serves the Euler-product route of the limit
+constants, at t = 0.  The oracle contract (non-principal character,
+finite sigma, |t| <= 1e4, one rounding allowance, bound <= 1e-9) has one
+implementation too: l_oracle applies it to a batch of one height and
+l_oracle_critical_batch to a batch at sigma = 1/2.
 """
 
 from __future__ import annotations
@@ -44,12 +46,9 @@ from .errors import (
     OutOfStrip,
     PrincipalCharacter,
 )
-from .specfun import (
-    _digamma_real,
-    _hurwitz_critical_batch,
-    hurwitz_zeta_certified,
-    x_factor,
-)
+from .specfun import _digamma_real, _hurwitz_critical_batch, x_factor
+# perfbench/spans.py wraps hurwitz_zeta_certified by this module's attribute
+from .specfun import hurwitz_zeta_certified
 
 AFE_REMAINDER_CONSTANT = 10.0
 _AFE_MIN_HEIGHT = 10.0  # below this the Stirling-regime bound degrades
@@ -143,69 +142,62 @@ def l_afe(s, chi: DirichletCharacter, delta: float = 1.0) -> LValue:
     return AfeWindows(chi, s.real, delta, s.imag).value(s.imag)
 
 
-def l_via_hurwitz(table, s, tol: float) -> tuple[complex, float]:
-    """m^{-s} sum_a table[a] zeta(s, a/m) for a period-m value table, and
-    the certified zeta bounds summed and scaled by |m^{-s}|."""
+def l_via_hurwitz(table, sigma: float, ts, tol: float) -> tuple[np.ndarray, float]:
+    """m^{-s} sum_a table[a] zeta(s, a/m) at s = sigma + i t for a batch
+    of heights and a period-m value table, with the certified zeta bounds
+    summed and scaled by m^{-sigma}.  One kernel call per nonzero shift;
+    its N comes from the batch's largest |t|."""
+    ts = np.asarray(ts, dtype=float)
     m = len(table)
-    total = 0j
+    total = np.zeros(len(ts), dtype=complex)
     bound = 0.0
     for a in range(1, m):
         ca = table[a]
         if ca == 0:
             continue
-        v, b = hurwitz_zeta_certified(s, a / m, tol)
-        total += ca * v
+        vals, b = _hurwitz_critical_batch(ts, a / m, tol, sigma)
+        total += ca * vals
         bound += b
-    scale = m ** (-s)
-    return scale * total, abs(scale) * bound
+    return np.exp(-(sigma + 1j * ts) * math.log(m)) * total, m ** -sigma * bound
+
+
+def _oracle_batch(chi: DirichletCharacter, sigma: float, ts,
+                  tol: float) -> tuple[np.ndarray, float]:
+    """The oracle contract: L(sigma + i t, chi) over a batch of heights,
+    with one worst bound for the batch."""
+    if chi.is_principal:
+        raise PrincipalCharacter("l_oracle requires a non-principal character")
+    if not math.isfinite(sigma):
+        raise DomainTooSmall(f"l_oracle needs a finite real part, got {sigma}")
+    if len(ts) == 0:
+        return np.empty(0, dtype=complex), 0.0
+    tmax = float(np.max(np.abs(ts)))
+    if not tmax <= 1e4:  # nan fails the comparison
+        raise HeightExceeded(f"oracle supports |t| <= 1e4, got {tmax}")
+    values, bound = l_via_hurwitz(chi.value_table(), sigma, ts, tol)
+    bound += 8.0 * float(np.max(np.abs(values))) * 2.2e-16 + 1e-12
+    if bound > 1e-9:
+        raise AccuracyLoss(f"oracle bound {bound:.2e} exceeds 1e-9 at "
+                           f"sigma={sigma}, |t| <= {tmax}")
+    return values, bound
 
 
 def l_oracle(s, chi: DirichletCharacter, tol: float = 1e-11) -> LValue:
-    """High-accuracy independent evaluation via Hurwitz zeta."""
+    """High-accuracy independent evaluation via Hurwitz zeta: the oracle
+    contract on a batch of one height."""
     s = complex(s)
-    if chi.is_principal:
-        raise PrincipalCharacter("l_oracle requires a non-principal character")
-    if not abs(s.imag) <= 1e4:  # nan fails the comparison
-        raise HeightExceeded(f"oracle supports |Im s| <= 1e4, got {s.imag}")
-    q = chi.modulus
-    if s == 1:
+    if s == 1 and not chi.is_principal:
         # the Hurwitz poles cancel against sum chi(a) = 0, leaving the
         # digamma formula L(1, chi) = -(1/q) sum_a chi(a) psi(a/q)
+        q = chi.modulus
         value = -sum(chi(a) * _digamma_real(a / q) for a in range(1, q)) / q
         return LValue(value, 1e-12, "oracle")
-    value, bound = l_via_hurwitz([chi(a) for a in range(q)], s, tol)
-    bound += 8.0 * abs(value) * 2.2e-16
-    if bound > 1e-9:
-        raise AccuracyLoss(f"oracle bound {bound:.2e} exceeds 1e-9 at s={s}")
-    return LValue(value, bound, "oracle")
+    values, bound = _oracle_batch(chi, s.real, [s.imag], tol)
+    return LValue(complex(values[0]), bound, "oracle")
 
 
 def l_oracle_critical_batch(ts: np.ndarray, chi: DirichletCharacter,
                             tol: float = 1e-11) -> tuple[np.ndarray, float]:
-    """Oracle values L(1/2 + i t, chi) for an ascending batch of heights.
-
-    Same Hurwitz route and contract as l_oracle, batched over heights:
-    |t| <= 1e4 (else HeightExceeded) and a bound <= 1e-9 (else
-    AccuracyLoss).  Returns (values, worst certified bound).
-    """
-    if chi.is_principal:
-        raise PrincipalCharacter("l_oracle requires a non-principal character")
-    tmax = float(np.max(np.abs(ts)))
-    if not tmax <= 1e4:
-        raise HeightExceeded(f"oracle supports |t| <= 1e4, got {tmax}")
-    q = chi.modulus
-    total = np.zeros(len(ts), dtype=complex)
-    bound = 0.0
-    for a in range(1, q):
-        ca = chi(a)
-        if ca == 0:
-            continue
-        vals, b = _hurwitz_critical_batch(ts, a / q, tol)
-        total += ca * vals
-        bound += b
-    s = 0.5 + 1j * ts
-    prefactor = np.exp(-s * math.log(q))
-    bound = bound * q ** -0.5 + 1e-12
-    if bound > 1e-9:
-        raise AccuracyLoss(f"oracle batch bound {bound:.2e} exceeds 1e-9")
-    return prefactor * total, bound
+    """Oracle values L(1/2 + i t, chi) for an ascending batch of heights:
+    the l_oracle contract at sigma = 1/2.  Returns (values, worst bound)."""
+    return _oracle_batch(chi, 0.5, ts, tol)

@@ -401,12 +401,12 @@ def _product_route(series: CoefficientSeries, sigma: float) -> tuple[complex, fl
     for p in bpoly.primes:
         if p != excluded:
             finite *= 1.0 - p ** -two_sigma
-    l_val, l_bound = l_via_hurwitz(twist, two_sigma, 1e-13)
+    l_val, l_bound = l_via_hurwitz(twist, two_sigma, [0.0], 1e-13)
     l_bound += 1e-13
     completion = 1 + 0j
     for p in bpoly.primes:
         completion *= 1.0 - twist[p % len(twist)] * p ** -two_sigma
-    value = finite * l_val * completion
+    value = finite * complex(l_val[0]) * completion
     return value, abs(finite * completion) * l_bound + 1e-12
 
 
@@ -512,8 +512,9 @@ class ThmOneEvaluator:
         o2 = l_oracle(complex(self.sigma, gamma), self.chi2)
         pair_err = (lv1.bound * (abs(o2.value) + lv2.bound)
                     + abs(o1.value) * lv2.bound + o1.bound + o2.bound)
-        tol = 2.0 * abs(self.b_value(gamma)) * pair_err + 1e-9
-        afe_a = self.b_value(gamma) * 2j * (lv1.value * lv2.value.conjugate()).imag
+        b = self.b_value(gamma)
+        tol = 2.0 * abs(b) * pair_err + 1e-9
+        afe_a = b * 2j * (lv1.value * lv2.value.conjugate()).imag
         oracle_a = self.a_value_oracle(gamma)
         if abs(afe_a - oracle_a) > tol:
             raise OracleAuditFailure(

@@ -207,9 +207,8 @@ def _merge_found(parts: list[np.ndarray]) -> np.ndarray:
     return gammas
 
 
-def _scan_interval(lo: float, hi: float, step: float) -> np.ndarray:
-    n_pts = int(math.ceil((hi - lo) / step)) + 1
-    grid = np.linspace(lo, hi, max(n_pts, 3))
+def _sign_changes(grid: np.ndarray) -> np.ndarray:
+    """Refined zeros at the sign flips of Z on one grid (none: no refinement)."""
     z = _hardy_z_batch(grid)
     flips = np.nonzero(z[:-1] * z[1:] < 0.0)[0]
     if len(flips) == 0:
@@ -217,14 +216,13 @@ def _scan_interval(lo: float, hi: float, step: float) -> np.ndarray:
     return _refine_brackets(grid[flips], grid[flips + 1], z[flips])
 
 
+def _scan_interval(lo: float, hi: float, step: float) -> np.ndarray:
+    n_pts = int(math.ceil((hi - lo) / step)) + 1
+    return _sign_changes(np.linspace(lo, hi, max(n_pts, 3)))
+
+
 def _scan_once(t_max: float, density: float) -> np.ndarray:
-    found = []
-    for grid in _scan_windows(t_max, density):
-        z = _hardy_z_batch(grid)
-        flips = np.nonzero(z[:-1] * z[1:] < 0.0)[0]
-        if len(flips):
-            found.append(_refine_brackets(grid[flips], grid[flips + 1], z[flips]))
-    return _merge_found(found)
+    return _merge_found([_sign_changes(grid) for grid in _scan_windows(t_max, density)])
 
 
 def _mean_gap(t: float) -> float:

@@ -121,6 +121,13 @@ def test_batch_oracle_matches_scalar(chi5):
         assert abs(got - ref.value) <= bound + ref.bound
 
 
+def test_batch_oracle_empty_batch(chi5):
+    # an empty batch used to reach np.max and raise a bare ValueError
+    values, bound = l_oracle_critical_batch(np.array([]), chi5)
+    assert values.dtype == complex and values.shape == (0,)
+    assert bound == 0.0
+
+
 def test_batch_oracle_checks_every_height_against_the_ceiling(chi5):
     # the ceiling used to be read off the last height only, which let a
     # height of 2e4 through with a bound above the 1e-9 certificate
