@@ -161,7 +161,7 @@ def _cmd_thm2(args) -> None:
     cfg = make_config(chi1, chi2, p)
     _audit_stride(args.audit_rate)  # validate before the zero table is loaded
     _write_sweep(args, ThmTwoReport.CSV_HEADER, lambda table, t: thm2_report(
-        table, t, cfg, audit_rate=args.audit_rate))
+        table, t, cfg, audit_rate=args.audit_rate, method=args.method))
     print(f"thm2: p = {cfg.p}, C1 = {cfg.c1:.6f}, C2 = {cfg.c2:.6f}",
           file=sys.stderr)
 
@@ -213,6 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default="auto",
                    help='auxiliary prime, or "auto" for the CRT sieve choice')
     p.add_argument("--oracle-audit", dest="audit_rate", type=float, default=0.01)
+    p.add_argument("--method", choices=("afe", "oracle"), default="afe",
+                   help='"afe" (fast windows with sampled oracle audits) or '
+                        '"oracle" (certified Hurwitz values at every zero)')
     common(p)
     p.set_defaults(func=_cmd_thm2)
     return parser

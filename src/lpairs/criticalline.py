@@ -36,13 +36,19 @@ thm2_report is thm1_report with another statistic: the L-values at each
 zero are lfunc.AfeWindows.value, and the audited zero loop and the
 Cauchy-Schwarz reducer are meanvalues._audited_rows and _cauchy_schwarz.
 method "oracle" replaces the loop by l_oracle_critical_batch over blocks
-of _EVAL_CHUNK heights.
+of _EVAL_CHUNK heights, one task per block and character, run on one
+thread per CPU.  The per-zero values land in one preallocated array in
+table order and every reduction stays serial, so both routes give the
+same bits on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+
+import numpy as np
 
 from .characters import DirichletCharacter, gauss_sum
 from .errors import OracleAuditFailure, PreconditionError, SearchExhausted
@@ -59,6 +65,13 @@ _P_SEARCH_BOUND = 10 ** 6
 # heights per oracle batch; each block's largest height sets the Hurwitz
 # kernel's term count N
 _EVAL_CHUNK = 512
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def choose_p(chi1: DirichletCharacter, chi2: DirichletCharacter) -> int:
@@ -220,20 +233,32 @@ def thm2_report(zeros: ZeroTable, t: float, cfg: CriticalLineConfig,
         b = evaluator.b_value(g)
         return b * lv1.value, b * lv2.value
 
+    rows = np.empty((len(gammas), 2), dtype=complex)
     if method == "oracle":
-        rows = []
-        for start in range(0, len(gammas), _EVAL_CHUNK):
-            block = gammas[start:start + _EVAL_CHUNK]
-            l1s, _ = l_oracle_critical_batch(block, cfg.chi1)
-            l2s, _ = l_oracle_critical_batch(block, cfg.chi2)
-            for g, l1, l2 in zip(block, l1s, l2s):
-                b = evaluator.b_value(float(g))
-                rows.append((b * complex(l1), b * complex(l2)))
+        # imported here: at module level it costs every workload start-up
+        # time and peak RSS, and only this route runs a pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        # one task per (block, character); numpy releases the GIL in the
+        # kernel's N-term rows, so the tasks run in parallel on threads
+        tasks = [(gammas[start:start + _EVAL_CHUNK], chi)
+                 for start in range(0, len(gammas), _EVAL_CHUNK)
+                 for chi in (cfg.chi1, cfg.chi2)]
+        workers = max(1, min(_cpu_count(), len(tasks)))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # map yields in task order, so the rows and the serial
+            # reductions below are those of a serial run, bit for bit
+            results = pool.map(lambda task: l_oracle_critical_batch(*task), tasks)
+            for start in range(0, len(gammas), _EVAL_CHUNK):
+                (l1s, _), (l2s, _) = next(results), next(results)
+                for i, (l1, l2) in enumerate(zip(l1s, l2s), start):
+                    b = evaluator.b_value(float(gammas[i]))
+                    rows[i] = b * complex(l1), b * complex(l2)
     else:
-        rows = _audited_rows(afe_row, evaluator.audit, gammas, stride)
-    s1 = neumaier_sum_complex(r[0] for r in rows)
-    s2 = neumaier_sum_complex(r[1] for r in rows)
-    sum_a, sum_abs2, lower = _cauchy_schwarz([r[0] - r[1] for r in rows])
+        _audited_rows(afe_row, evaluator.audit, gammas, stride, rows)
+    s1 = neumaier_sum_complex(rows[:, 0].tolist())
+    s2 = neumaier_sum_complex(rows[:, 1].tolist())
+    sum_a, sum_abs2, lower = _cauchy_schwarz(rows[:, 0] - rows[:, 1])
 
     scale = (t / (2.0 * math.pi)) * math.log(t / (2.0 * math.pi))
     m1 = cfg.c1.conjugate() * scale

@@ -565,21 +565,24 @@ def _audit_stride(audit_rate: float) -> int:
     return int(round(1.0 / audit_rate)) if audit_rate > 0 else 0
 
 
-def _audited_rows(row, audit, gammas: np.ndarray, stride: int) -> list:
-    """row(gamma) at every height in table order; audit(gamma) runs first
-    at table indices 0, stride, 2 stride, ... (none when stride is 0)."""
-    rows = []
+def _audited_rows(row, audit, gammas: np.ndarray, stride: int,
+                  out: np.ndarray) -> np.ndarray:
+    """out[i] = row(gammas[i]) in table order, returned; audit(gamma) runs
+    first at table indices 0, stride, 2 stride, ... (none when stride is
+    0).  out is complex, shape (n,) or (n, k) for rows of k values."""
     for i, g in enumerate(gammas):
         g = float(g)
         if stride and i % stride == 0:
             audit(g)
-        rows.append(row(g))
-    return rows
+        out[i] = row(g)
+    return out
 
 
-def _cauchy_schwarz(a_values: list) -> tuple[complex, float, float]:
+def _cauchy_schwarz(a_values: np.ndarray) -> tuple[complex, float, float]:
     """(sum A, sum |A|^2, |sum A|^2 / sum |A|^2), the last a lower bound for
-    #{A != 0}; it is 0 when every A vanishes."""
+    #{A != 0}; it is 0 when every A vanishes.  The sums run in table order
+    over the Python complexes of a_values.tolist()."""
+    a_values = a_values.tolist()
     sum_a = neumaier_sum_complex(a_values)
     sum_abs2 = neumaier_sum(abs(a) ** 2 for a in a_values)
     lower = abs(sum_a) ** 2 / sum_abs2 if sum_abs2 > 0.0 else 0.0
@@ -604,7 +607,8 @@ def thm1_report(zeros: ZeroTable, t: float, sigma: float,
     bpoly = build_b_polynomial(cutoff, chi1, chi2)
     gammas = zeros.up_to(t)
     evaluator = ThmOneEvaluator(bpoly, sigma, t)
-    a_values = _audited_rows(evaluator.a_value, evaluator.audit, gammas, stride)
+    a_values = _audited_rows(evaluator.a_value, evaluator.audit, gammas, stride,
+                             np.empty(len(gammas), dtype=complex))
     sum_a, sum_abs2, lower = _cauchy_schwarz(a_values)
     return MeanValueReport(
         t=t, n_zeros=len(gammas), sum_a=sum_a, sum_abs_a2=sum_abs2,

@@ -10,14 +10,16 @@ certified-bound variants return that bound alongside the value.
 
 Only double precision is used.  Euler-Maclaurin has one body,
 _hurwitz_critical_batch(ts, a, tol, sigma), which needs N ~ 0.62 max|t|
-terms and sums them one height at a time.  The scalar routes are batches
-of one height: hurwitz_zeta, zeta_em (a = 1) and hardy_z, which is
-_hardy_z_em on one height.  The zero engine's Z below t = 200 is
-_hardy_z_em too.  From t = 200 the zero engine's batched Z takes the
-Riemann-Siegel formula with the corrections C_0..C_4 (about sqrt(t/2pi)
-terms) and certifies each value with Gabcke's remainder bound
-|R_4(t)| <= 0.017 t^(-11/4) plus a float-rounding allowance B_RS.  A
-value too close to zero for that certificate to fix its sign,
+terms and sums them one height at a time in one N-term buffer.  numpy
+releases the GIL over each row, so threads can run batches side by side.
+The scalar routes are batches of one height: hurwitz_zeta, zeta_em
+(a = 1) and hardy_z, which is _hardy_z_em on one height.  The zero
+engine's Z below t = 200 is _hardy_z_em too.  From t = 200 the zero
+engine's batched Z takes the Riemann-Siegel formula with the corrections
+C_0..C_4 (about sqrt(t/2pi) terms) and certifies each value with
+Gabcke's remainder bound |R_4(t)| <= 0.017 t^(-11/4) plus a
+float-rounding allowance B_RS.  A value too close to zero for that
+certificate to fix its sign,
 |Z_RS| <= B_RS + B_EM with B_EM the a priori Euler-Maclaurin bound, is
 recomputed by Euler-Maclaurin, so every sign the batch returns is the
 Euler-Maclaurin sign; one Riemann-Siegel value per batch is audited
@@ -238,12 +240,17 @@ def _hurwitz_critical_batch(ts: np.ndarray, a: float, tol: float = 1e-11,
     base = np.arange(n_terms, dtype=float) + a
     logb = np.log(base)
     amp = base ** -sigma
-    # one row per pass: each row's pairwise np.sum (a fixed reduction
-    # order; BLAS matvec would not be reproducible) equals that row of a
-    # whole-batch pass, without the batch x N temporaries
+    # one row per pass, formed in place in one N-term buffer: each row's
+    # pairwise sum (a fixed reduction order; BLAS matvec would not be
+    # reproducible) equals that row of a whole-batch pass, without the
+    # batch x N temporaries
     values = np.empty(len(ts), dtype=complex)
+    row = np.empty(n_terms, dtype=complex)
     for i in range(len(ts)):
-        values[i:i + 1] = np.sum(np.exp(np.outer(-1j * ts[i:i + 1], logb)) * amp, axis=1)
+        np.multiply(-1j * ts[i], logb, out=row)
+        np.exp(row, out=row)
+        np.multiply(row, amp, out=row)
+        values[i] = row.sum()
     s = sigma + 1j * ts
     na = float(n_terms + a)
     values += na ** (1.0 - s) / (s - 1.0) + 0.5 * na ** (-s)

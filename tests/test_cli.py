@@ -107,6 +107,26 @@ def test_thm2_command(zero_file, tmp_path):
     assert len(lines) == 2
 
 
+def test_thm2_method(zero_file, zeros100, tmp_path):
+    # --method afe is the default, and --method oracle writes the oracle
+    # report's row
+    from lpairs.characters import character
+    from lpairs.criticalline import ThmTwoReport, make_config, thm2_report
+
+    rows = {}
+    for method in (None, "afe", "oracle"):
+        out = tmp_path / f"thm2_{method}.csv"
+        argv = ["thm2", "--T", "100", "--char1", "3:1", "--char2", "5:2",
+                "--zeros", zero_file, "--output", str(out)]
+        assert run(argv + (["--method", method] if method else [])) == 0
+        rows[method] = out.read_text()
+    cfg = make_config(character(3, 1), character(5, 2))
+    for method in ("afe", "oracle"):
+        rep = thm2_report(zeros100, 100.0, cfg, method=method)
+        assert rows[method] == ThmTwoReport.CSV_HEADER + "\n" + rep.csv_row() + "\n"
+    assert rows[None] == rows["afe"] != rows["oracle"]
+
+
 @pytest.mark.parametrize("command", ["thm1", "thm2"])
 @pytest.mark.parametrize("rate", ["3", "-1", "nan", "inf"])
 def test_config_error_out_of_range_audit_rate(zero_file, command, rate):
@@ -119,6 +139,7 @@ def test_config_error_out_of_range_audit_rate(zero_file, command, rate):
     ["thm1", "--sigma", "nan"],
     ["thm1", "--oracle-audit", "3"],
     ["thm2", "--oracle-audit", "3"],
+    ["thm2", "--method", "fastest"],
 ])
 def test_config_error_before_zero_table(tmp_path, monkeypatch, argv):
     # a bad --sigma or --oracle-audit is a configuration error (exit 1)

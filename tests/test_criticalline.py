@@ -1,7 +1,10 @@
 import math
+import threading
+import time
 
 import pytest
 
+import lpairs.criticalline as cl
 from lpairs.characters import character
 from lpairs.criticalline import (
     ThmTwoEvaluator,
@@ -11,9 +14,10 @@ from lpairs.criticalline import (
     make_config,
     thm2_report,
 )
-from lpairs.errors import PreconditionError
-from lpairs.lfunc import l_oracle
+from lpairs.errors import AccuracyLoss, PreconditionError
+from lpairs.lfunc import l_oracle, l_oracle_critical_batch
 from lpairs.primes import is_prime
+from lpairs.summation import neumaier_sum, neumaier_sum_complex
 
 GAMMA_1 = 14.134725141734693790
 
@@ -231,3 +235,63 @@ def test_report_oracle_method(zeros100, chi3, chi5):
     assert abs(afe.sum_a - orc.sum_a) < 0.05 * budget  # and in practice far inside
     with pytest.raises(PreconditionError):
         thm2_report(zeros100, 60.0, cfg, method="fastest")
+
+
+def test_oracle_pool_keeps_table_order(zeros1000, chi3, chi5, monkeypatch):
+    # 649 zeros make 2 blocks and 4 (block, character) tasks; the first
+    # task is held back so that it finishes last, and the report must
+    # still equal a serial reduction in table order, bit for bit
+    cfg = make_config(chi3, chi5)
+    gammas = zeros1000.up_to(1000.0)
+    ev = ThmTwoEvaluator(cfg, 1000.0)
+    r1, r2 = [], []
+    for start in range(0, len(gammas), 512):
+        block = gammas[start:start + 512]
+        l1s, _ = l_oracle_critical_batch(block, chi3)
+        l2s, _ = l_oracle_critical_batch(block, chi5)
+        for g, l1, l2 in zip(block, l1s, l2s):
+            b = ev.b_value(float(g))
+            r1.append(b * complex(l1))
+            r2.append(b * complex(l2))
+    diffs = [x - y for x, y in zip(r1, r2)]
+    sum_a = neumaier_sum_complex(diffs)
+    sum_abs2 = neumaier_sum(abs(a) ** 2 for a in diffs)
+
+    def first_task_last(block, chi):
+        if block[0] == gammas[0] and chi is chi3:
+            time.sleep(0.2)
+        return l_oracle_critical_batch(block, chi)
+
+    monkeypatch.setattr(cl, "l_oracle_critical_batch", first_task_last)
+    rep = thm2_report(zeros1000, 1000.0, cfg, method="oracle")
+    assert len(gammas) == 649
+    assert rep.n_zeros == 649
+    assert rep.sum_chi1 == neumaier_sum_complex(r1)
+    assert rep.sum_chi2 == neumaier_sum_complex(r2)
+    assert rep.sum_a == sum_a
+    assert rep.sum_abs_a2 == sum_abs2
+    assert rep.lower_bound_count == abs(sum_a) ** 2 / sum_abs2
+
+
+def test_oracle_pool_error_propagates_and_joins(zeros1000, chi3, chi5, monkeypatch):
+    # a failing block raises through thm2_report, and the pool's threads
+    # are gone when it returns
+    gammas = zeros1000.up_to(1000.0)
+
+    def second_block_fails(block, chi):
+        if block[0] == gammas[512]:
+            raise AccuracyLoss("planted failure in the second block")
+        return l_oracle_critical_batch(block, chi)
+
+    monkeypatch.setattr(cl, "l_oracle_critical_batch", second_block_fails)
+    before = threading.active_count()
+    with pytest.raises(AccuracyLoss, match="planted"):
+        thm2_report(zeros1000, 1000.0, make_config(chi3, chi5), method="oracle")
+    assert threading.active_count() == before
+
+
+def test_oracle_pool_empty_table(zeros100, chi3, chi5):
+    # no zeros up to T: no tasks, no threads, zero sums
+    rep = thm2_report(zeros100, 12.0, make_config(chi3, chi5), method="oracle")
+    assert rep.n_zeros == 0
+    assert rep.sum_a == 0 and rep.sum_abs_a2 == 0.0 and rep.lower_bound_count == 0.0
