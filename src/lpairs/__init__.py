@@ -18,7 +18,6 @@ from .characters import (
 from .criticalline import (
     CriticalLineConfig,
     ThmTwoReport,
-    a2_gamma,
     c_constant,
     choose_p,
     make_config,
@@ -37,7 +36,6 @@ from .meanvalues import (
     BPolynomial,
     CoefficientSeries,
     MeanValueReport,
-    a1_gamma,
     build_b_polynomial,
     predicted_constant,
     series_d,

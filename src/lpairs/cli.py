@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char2", default="5:1", help='second character as "q:j"')
     p.add_argument("--P", dest="cutoff", default="auto",
                    help='mollifier cutoff prime, or "auto" for max(q, l)')
-    p.add_argument("--oracle-audit", dest="audit_rate", type=float, default=0.01)
+    p.add_argument("--oracle-audit", dest="audit_rate", type=float, default=0.01,
+                   help="fraction of zeros re-checked through the oracle, in [0, 1]")
     common(p)
     p.set_defaults(func=_cmd_thm1)
 
@@ -212,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char2", default="5:1")
     p.add_argument("--p", default="auto",
                    help='auxiliary prime, or "auto" for the CRT sieve choice')
-    p.add_argument("--oracle-audit", dest="audit_rate", type=float, default=0.01)
+    p.add_argument("--oracle-audit", dest="audit_rate", type=float, default=0.01,
+                   help="fraction of zeros re-checked through the oracle, in [0, 1]; "
+                        "validated but unused under --method oracle")
     p.add_argument("--method", choices=("afe", "oracle"), default="afe",
                    help='"afe" (fast windows with sampled oracle audits) or '
                         '"oracle" (certified Hurwitz values at every zero)')

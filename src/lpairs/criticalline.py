@@ -150,10 +150,6 @@ class ThmTwoEvaluator:
     def l_values(self, gamma: float) -> tuple[LValue, LValue]:
         return self._win1.value(gamma), self._win2.value(gamma)
 
-    def a_value(self, gamma: float) -> complex:
-        lv1, lv2 = self.l_values(gamma)
-        return self.b_value(gamma) * (lv1.value - lv2.value)
-
     def audit(self, gamma: float) -> None:
         lv1, lv2 = self.l_values(gamma)
         s = complex(0.5, gamma)
@@ -167,18 +163,6 @@ class ThmTwoEvaluator:
             raise OracleAuditFailure(
                 f"A({gamma}): AFE {afe_a} vs oracle {oracle_a} "
                 f"differ by {abs(afe_a - oracle_a):.3e} > {tol:.3e}")
-
-
-def a2_gamma(gamma: float, cfg: CriticalLineConfig, method: str = "afe") -> complex:
-    """A(gamma) = p^rho (L(rho, chi1) - L(rho, chi2)), rho = 1/2 + i gamma."""
-    if not 10.0 < gamma < math.inf:  # nan fails the comparison
-        raise PreconditionError(f"statistic needs a finite gamma > 10, got {gamma}")
-    ev = ThmTwoEvaluator(cfg, gamma)
-    if method == "oracle":
-        s = complex(0.5, gamma)
-        return ev.b_value(gamma) * (l_oracle(s, cfg.chi1).value
-                                    - l_oracle(s, cfg.chi2).value)
-    return ev.a_value(gamma)
 
 
 @dataclass(frozen=True)

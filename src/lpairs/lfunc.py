@@ -51,6 +51,7 @@ from .specfun import _digamma_real, _hurwitz_critical_batch, x_factor
 from .specfun import hurwitz_zeta_certified
 
 AFE_REMAINDER_CONSTANT = 10.0
+ORACLE_TOL = 1e-11  # Euler-Maclaurin truncation tolerance per Hurwitz term
 _AFE_MIN_HEIGHT = 10.0  # below this the Stirling-regime bound degrades
 
 
@@ -161,8 +162,7 @@ def l_via_hurwitz(table, sigma: float, ts, tol: float) -> tuple[np.ndarray, floa
     return np.exp(-(sigma + 1j * ts) * math.log(m)) * total, m ** -sigma * bound
 
 
-def _oracle_batch(chi: DirichletCharacter, sigma: float, ts,
-                  tol: float) -> tuple[np.ndarray, float]:
+def _oracle_batch(chi: DirichletCharacter, sigma: float, ts) -> tuple[np.ndarray, float]:
     """The oracle contract: L(sigma + i t, chi) over a batch of heights,
     with one worst bound for the batch."""
     if chi.is_principal:
@@ -174,7 +174,7 @@ def _oracle_batch(chi: DirichletCharacter, sigma: float, ts,
     tmax = float(np.max(np.abs(ts)))
     if not tmax <= 1e4:  # nan fails the comparison
         raise HeightExceeded(f"oracle supports |t| <= 1e4, got {tmax}")
-    values, bound = l_via_hurwitz(chi.value_table(), sigma, ts, tol)
+    values, bound = l_via_hurwitz(chi.value_table(), sigma, ts, ORACLE_TOL)
     bound += 8.0 * float(np.max(np.abs(values))) * 2.2e-16 + 1e-12
     if bound > 1e-9:
         raise AccuracyLoss(f"oracle bound {bound:.2e} exceeds 1e-9 at "
@@ -182,7 +182,7 @@ def _oracle_batch(chi: DirichletCharacter, sigma: float, ts,
     return values, bound
 
 
-def l_oracle(s, chi: DirichletCharacter, tol: float = 1e-11) -> LValue:
+def l_oracle(s, chi: DirichletCharacter) -> LValue:
     """High-accuracy independent evaluation via Hurwitz zeta: the oracle
     contract on a batch of one height."""
     s = complex(s)
@@ -192,12 +192,11 @@ def l_oracle(s, chi: DirichletCharacter, tol: float = 1e-11) -> LValue:
         q = chi.modulus
         value = -sum(chi(a) * _digamma_real(a / q) for a in range(1, q)) / q
         return LValue(value, 1e-12, "oracle")
-    values, bound = _oracle_batch(chi, s.real, [s.imag], tol)
+    values, bound = _oracle_batch(chi, s.real, [s.imag])
     return LValue(complex(values[0]), bound, "oracle")
 
 
-def l_oracle_critical_batch(ts: np.ndarray, chi: DirichletCharacter,
-                            tol: float = 1e-11) -> tuple[np.ndarray, float]:
+def l_oracle_critical_batch(ts, chi: DirichletCharacter) -> tuple[np.ndarray, float]:
     """Oracle values L(1/2 + i t, chi) for an ascending batch of heights:
     the l_oracle contract at sigma = 1/2.  Returns (values, worst bound)."""
-    return _oracle_batch(chi, 0.5, ts, tol)
+    return _oracle_batch(chi, 0.5, ts)

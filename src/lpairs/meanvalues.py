@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,29 +51,54 @@ from .summation import neumaier_sum, neumaier_sum_complex
 from .zeros import ZeroTable
 
 _SIEVE_CHUNK = 1 << 21
+_SERIES_TAIL_TOL = 9e-9  # Abel tail bound of the series route of D and E
 
 
 # --- exact root-of-unity arithmetic ------------------------------------------
 
+def _divmod_monic(poly, divisor) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials, constant term first,
+    by a monic divisor."""
+    rem, deg = list(poly), len(divisor) - 1
+    quotient = [0] * (len(rem) - deg)
+    for k in range(len(rem) - 1, deg - 1, -1):
+        c = quotient[k - deg] = rem[k]
+        if c:
+            for j, dj in enumerate(divisor):
+                rem[k - deg + j] -= c * dj
+    return quotient, rem[:deg]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Phi_n, constant term first: x^n - 1 over Phi_d for each proper divisor d."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _divmod_monic(poly, _cyclotomic(d))[0]
+    return tuple(poly)
+
+
 class RootSum:
     """Integer combination of order-th roots of unity, kept exact.
 
-    Stored as {exponent mod order: integer coefficient}; addition and
-    multiplication never leave the ring, so coefficient identities are
-    decided by dictionary equality, not float comparison.
+    Stored as {exponent: integer coefficient}, reduced modulo the
+    cyclotomic polynomial Phi_order to exponents below its degree: that
+    form is unique in Z[zeta_order], so a sum that vanishes, like
+    1 + zeta^2 at order 4, is stored empty.  Addition and multiplication
+    never leave the ring, so coefficient identities are decided by
+    dictionary equality, not float comparison.
     """
 
     __slots__ = ("order", "terms")
 
     def __init__(self, order: int, terms=None):
         self.order = order
-        collected: dict[int, int] = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    k %= order
-                    collected[k] = collected.get(k, 0) + c
-        self.terms = {k: c for k, c in collected.items() if c}
+        dense = [0] * order
+        for k, c in (terms or {}).items():
+            dense[k % order] += c
+        dense = _divmod_monic(dense, _cyclotomic(order))[1]
+        self.terms = {k: c for k, c in enumerate(dense) if c}
 
     @classmethod
     def zero(cls, order: int) -> "RootSum":
@@ -106,8 +132,7 @@ class RootSum:
         out: dict[int, int] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                k = (k1 + k2) % self.order
-                out[k] = out.get(k, 0) + c1 * c2
+                out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
         return RootSum(self.order, out)
 
     def conjugate(self) -> "RootSum":
@@ -297,7 +322,7 @@ class CoefficientSeries:
 class SeriesConstant:
     """Dual evaluation of D (or E) with certified bounds on both routes."""
 
-    value: complex           # the route with the tighter bound
+    value: complex           # value and bound are always the product route's
     bound: float
     series_value: complex
     series_bound: float
@@ -347,7 +372,7 @@ def _series_route(series: CoefficientSeries, sigma: float,
     if n_limit > 8 * 10 ** 8:
         raise PreconditionError(
             f"series route needs N = {n_limit:.3g} terms at sigma = {sigma}; "
-            "raise tol_tail or sigma")
+            "raise sigma")
 
     mod_inner = inner.modulus
     mod_other = other.modulus
@@ -416,16 +441,15 @@ def _check_sigma(sigma: float) -> None:
         raise PreconditionError(f"need 1/2 < sigma < 1, got {sigma}")
 
 
-def _series_constant(series: CoefficientSeries, sigma: float,
-                     tol_tail: float) -> SeriesConstant:
+def _series_constant(series: CoefficientSeries, sigma: float) -> SeriesConstant:
     _check_sigma(sigma)
     bp = series.bpoly
     key = (series.kind, bp.chi1.modulus, bp.chi1.index, bp.chi2.modulus,
-           bp.chi2.index, bp.cutoff, round(sigma, 12), tol_tail)
+           bp.chi2.index, bp.cutoff, round(sigma, 12))
     hit = _series_memo.get(key)
     if hit is not None:
         return hit
-    s_val, s_bound, n_terms = _series_route(series, sigma, tol_tail)
+    s_val, s_bound, n_terms = _series_route(series, sigma, _SERIES_TAIL_TOL)
     p_val, p_bound = _product_route(series, sigma)
     if abs(s_val - p_val) > s_bound + p_bound:
         raise SeriesProductDisagreement(
@@ -439,14 +463,14 @@ def _series_constant(series: CoefficientSeries, sigma: float,
     return out
 
 
-def series_d(bpoly: BPolynomial, sigma: float, tol_tail: float = 9e-9) -> SeriesConstant:
+def series_d(bpoly: BPolynomial, sigma: float) -> SeriesConstant:
     """D = sum d_n conj(chi2)(n) n^{-2 sigma}, dual-evaluated."""
-    return _series_constant(CoefficientSeries("d", bpoly), sigma, tol_tail)
+    return _series_constant(CoefficientSeries("d", bpoly), sigma)
 
 
-def series_e(bpoly: BPolynomial, sigma: float, tol_tail: float = 9e-9) -> SeriesConstant:
+def series_e(bpoly: BPolynomial, sigma: float) -> SeriesConstant:
     """E = sum e_n conj(chi1)(n) n^{-2 sigma}, dual-evaluated."""
-    return _series_constant(CoefficientSeries("e", bpoly), sigma, tol_tail)
+    return _series_constant(CoefficientSeries("e", bpoly), sigma)
 
 
 def predicted_constant(bpoly: BPolynomial, sigma: float) -> complex:
@@ -520,17 +544,6 @@ class ThmOneEvaluator:
             raise OracleAuditFailure(
                 f"A({gamma}): AFE {afe_a} vs oracle {oracle_a} "
                 f"differ by {abs(afe_a - oracle_a):.3e} > {tol:.3e}")
-
-
-def a1_gamma(gamma: float, sigma: float, bpoly: BPolynomial,
-             method: str = "afe") -> complex:
-    """The linear-independence statistic at s = sigma + i gamma (gamma > 10)."""
-    if not 10.0 < gamma < math.inf:  # nan fails the comparison
-        raise PreconditionError(f"statistic needs a finite gamma > 10, got {gamma}")
-    ev = ThmOneEvaluator(bpoly, sigma, gamma)
-    if method == "oracle":
-        return ev.a_value_oracle(gamma)
-    return ev.a_value(gamma)
 
 
 # --- reports --------------------------------------------------------------------

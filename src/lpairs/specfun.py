@@ -46,6 +46,8 @@ from .errors import (
 _EPS = 2.220446049250313e-16
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _EULER_GAMMA = 0.5772156649015329
+_SCALAR_TOL = 1e-12   # Euler-Maclaurin truncation of hurwitz_zeta, zeta_em, hardy_z
+_Z_BATCH_TOL = 1e-11  # Euler-Maclaurin truncation of the zero engine's batched Z
 
 # Lanczos g=7, 9-term coefficient set (15-digit accuracy for Re z >= 1.5).
 _LANCZOS_G = 7.0
@@ -275,13 +277,12 @@ def _hurwitz_critical_batch(ts: np.ndarray, a: float, tol: float = 1e-11,
     return values, trunc + 4.0 * rounding
 
 
-def hurwitz_zeta(s, a, tol: float = 1e-12) -> complex:
+def hurwitz_zeta(s, a) -> complex:
     """zeta(s, a) for 0 < a <= 1, s != 1; hurwitz_zeta(s, 1) == zeta_em(s)."""
-    value, _ = hurwitz_zeta_certified(s, a, tol)
-    return value
+    return hurwitz_zeta_certified(s, a)[0]
 
 
-def hurwitz_zeta_certified(s, a, tol: float = 1e-12) -> tuple[complex, float]:
+def hurwitz_zeta_certified(s, a) -> tuple[complex, float]:
     """(value, certified absolute error bound) for zeta(s, a)."""
     s = complex(s)
     if not cmath.isfinite(s):
@@ -291,19 +292,18 @@ def hurwitz_zeta_certified(s, a, tol: float = 1e-12) -> tuple[complex, float]:
     a = float(a)
     if not 0.0 < a <= 1.0:
         raise DomainTooSmall(f"shift a must lie in (0, 1], got {a}")
-    values, bound = _hurwitz_critical_batch(np.array([s.imag]), a, tol, s.real)
+    values, bound = _hurwitz_critical_batch(np.array([s.imag]), a, _SCALAR_TOL, s.real)
     return complex(values[0]), bound
 
 
-def zeta_em(s, tol: float = 1e-12) -> complex:
+def zeta_em(s) -> complex:
     """Riemann zeta by Euler-Maclaurin (the oracle backbone)."""
-    value, _ = hurwitz_zeta_certified(s, 1.0, tol)
-    return value
+    return hurwitz_zeta_certified(s, 1.0)[0]
 
 
 # --- Hardy Z -----------------------------------------------------------------
 
-def hardy_z(t: float, tol: float = 1e-12) -> float:
+def hardy_z(t: float) -> float:
     """Z(t) = e^{i theta(t)} zeta(1/2 + it) by Euler-Maclaurin, guaranteed
     real: _hardy_z_em on a batch of one height.
 
@@ -312,7 +312,7 @@ def hardy_z(t: float, tol: float = 1e-12) -> float:
     """
     if t < 10.0:
         raise DomainTooSmall(f"hardy_z requires t >= 10, got {t}")
-    return float(_hardy_z_em(np.array([t], dtype=float), tol)[0])
+    return float(_hardy_z_em(np.array([t], dtype=float), _SCALAR_TOL)[0])
 
 
 # Riemann-Siegel Z is certified for t >= 200, where Gabcke's bound on the
@@ -321,7 +321,7 @@ _RS_T_MIN = 200.0
 _RS_R4 = 0.017
 
 
-def _em_critical_bound(tmax: float, tol: float) -> float:
+def _em_critical_bound(tmax: float) -> float:
     """A priori error bound of Euler-Maclaurin Z in a batch topped at tmax.
 
     It adds the truncation tolerance, 4x the rounding allowance of
@@ -337,7 +337,7 @@ def _em_critical_bound(tmax: float, tol: float) -> float:
     rounding = (_EPS * (tmax + 2.0) * math.log(n_terms + 3.0)
                 * math.sqrt(harmonic + 1.0))
     theta_err = 3.0 * _EPS * tmax * (math.log(tmax / (2.0 * math.pi)) + 2.0)
-    return tol + 4.0 * rounding + theta_err
+    return _Z_BATCH_TOL + 4.0 * rounding + theta_err
 
 
 def _rs_z_batch(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,7 +394,7 @@ def _hardy_z_em(ts: np.ndarray, tol: float) -> np.ndarray:
     return z.real
 
 
-def _hardy_z_batch(ts: np.ndarray, tol: float = 1e-11) -> np.ndarray:
+def _hardy_z_batch(ts: np.ndarray) -> np.ndarray:
     """Vectorised Z over an ascending batch of heights >= 10.
 
     Heights t >= 200 take the Riemann-Siegel kernel with its certified
@@ -411,18 +411,18 @@ def _hardy_z_batch(ts: np.ndarray, tol: float = 1e-11) -> np.ndarray:
     use_em = ts < _RS_T_MIN
     rs = np.nonzero(~use_em)[0]
     if len(rs) == 0:
-        return _hardy_z_em(ts, tol)
+        return _hardy_z_em(ts, _Z_BATCH_TOL)
     z_rs, b_rs = _rs_z_batch(ts[rs])
-    allowed = b_rs + _em_critical_bound(float(ts[-1]), tol)
+    allowed = b_rs + _em_critical_bound(float(ts[-1]))
     certified = np.abs(z_rs) > allowed
     if not certified.any():
-        return _hardy_z_em(ts, tol)
+        return _hardy_z_em(ts, _Z_BATCH_TOL)
     use_em[rs[~certified]] = True
     audit = int(np.nonzero(certified)[0][-1])
     use_em[rs[audit]] = True
     z = np.empty_like(ts)
     z[rs] = z_rs
-    z[use_em] = _hardy_z_em(ts[use_em], tol)
+    z[use_em] = _hardy_z_em(ts[use_em], _Z_BATCH_TOL)
     gap = abs(z[rs[audit]] - z_rs[audit])
     if gap > allowed[audit]:
         raise AccuracyLoss(

@@ -13,9 +13,9 @@ Turing's method -- at desk heights the RvM band with slack
 2 + 0.5 log T is empirically sufficient and far simpler).  All
 downstream sums only need a complete ordered list.
 
-Ordinate precision target is 1e-9: downstream terms x^{i gamma} with
-x <= 1e4 amplify ordinate error by log x <= 10, keeping phase error
-below 1e-8.
+Ordinate precision target is ORDINATE_PRECISION = 1e-9: downstream
+terms x^{i gamma} with x <= 1e4 amplify ordinate error by log x <= 10,
+keeping phase error below 1e-8.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .specfun import _hardy_z_batch
 
 _FIRST_ZERO_FLOOR = 10.0  # every nontrivial zero has gamma > 14.13
 _BISECTION_STEPS = 30     # bracket width 0.5 / 2^30 < 5e-10
+ORDINATE_PRECISION = 1e-9  # claimed by every table, file or computed
+_SCAN_DENSITY = 12.0       # scan grid points per mean zero gap
 
 
 def rvm_estimate(t: float) -> float:
@@ -82,8 +84,7 @@ class ZeroTable:
                 fh.write(f"{float(g)!r}\n")
 
 
-def _validate_ordinates(gammas: np.ndarray, context: str,
-                        precision: float = 1e-9) -> None:
+def _validate_ordinates(gammas: np.ndarray, context: str) -> None:
     if len(gammas) == 0:
         return
     if np.any(gammas[:-1] >= gammas[1:]):
@@ -91,11 +92,11 @@ def _validate_ordinates(gammas: np.ndarray, context: str,
         raise NonMonotonic(
             f"{context}: ordinates not strictly ascending near entry {k + 1} "
             f"({gammas[k]!r} then {gammas[k + 1]!r})")
-    if len(gammas) > 1 and float(np.min(np.diff(gammas))) <= precision:
+    if len(gammas) > 1 and float(np.min(np.diff(gammas))) <= ORDINATE_PRECISION:
         k = int(np.argmin(np.diff(gammas)))
         raise NonMonotonic(
             f"{context}: entries {k + 1} and {k + 2} coincide within the "
-            f"claimed precision {precision:g}")
+            f"claimed precision {ORDINATE_PRECISION:g}")
     if gammas[0] <= _FIRST_ZERO_FLOOR:
         raise CountInconsistent(
             f"{context}: first ordinate {gammas[0]!r} <= {_FIRST_ZERO_FLOOR} "
@@ -137,7 +138,7 @@ def _rvm_coverage(gammas: np.ndarray) -> float:
     return lo
 
 
-def load_zeros(path, precision: float = 1e-9) -> ZeroTable:
+def load_zeros(path) -> ZeroTable:
     """Parse a whitespace-separated ordinate file ('#' comments allowed).
 
     Accepts the common public zero-table dumps unmodified; a token that
@@ -160,11 +161,11 @@ def load_zeros(path, precision: float = 1e-9) -> ZeroTable:
                     raise ParseError(f"non-finite ordinate {token!r}", line=lineno)
                 values.append(value)
     gammas = np.asarray(values, dtype=float)
-    _validate_ordinates(gammas, str(path), precision)
+    _validate_ordinates(gammas, str(path))
     # an empty file is a valid (vacuous) table: N(T) = 0 for every T
     t_max = _rvm_coverage(gammas) if len(gammas) else math.inf
-    return ZeroTable(ordinates=gammas, source="file", precision=precision,
-                     t_max=t_max)
+    return ZeroTable(ordinates=gammas, source="file",
+                     precision=ORDINATE_PRECISION, t_max=t_max)
 
 
 def _scan_windows(t_max: float, density: float):
@@ -256,7 +257,7 @@ def _gap_audit(gammas: np.ndarray, t_max: float) -> np.ndarray:
     return gammas
 
 
-def compute_zeros(t_max: float, density: float = 12.0) -> ZeroTable:
+def compute_zeros(t_max: float) -> ZeroTable:
     """All zeros with gamma <= t_max, bisection-refined to 1e-9.
 
     Completeness is certified in two layers: wide-gap rescans (which
@@ -266,14 +267,14 @@ def compute_zeros(t_max: float, density: float = 12.0) -> ZeroTable:
     """
     if not 15.0 <= t_max <= 1e4:
         raise PreconditionError(f"compute_zeros needs 15 <= T <= 1e4, got {t_max}")
-    gammas = _gap_audit(_scan_once(t_max, density), t_max)
+    gammas = _gap_audit(_scan_once(t_max, _SCAN_DENSITY), t_max)
     try:
         _validate_ordinates(gammas, "computed table")
     except (NonMonotonic, CountInconsistent):
-        gammas = _gap_audit(_scan_once(t_max, 4.0 * density), t_max)
+        gammas = _gap_audit(_scan_once(t_max, 4.0 * _SCAN_DENSITY), t_max)
         try:
             _validate_ordinates(gammas, "computed table (rescanned)")
         except (NonMonotonic, CountInconsistent) as exc:
             raise MissedZero(f"zero scan failed its count certificate: {exc}")
-    return ZeroTable(ordinates=gammas, source="computed", precision=1e-9,
-                     t_max=float(t_max))
+    return ZeroTable(ordinates=gammas, source="computed",
+                     precision=ORDINATE_PRECISION, t_max=float(t_max))

@@ -8,7 +8,6 @@ import lpairs.criticalline as cl
 from lpairs.characters import character
 from lpairs.criticalline import (
     ThmTwoEvaluator,
-    a2_gamma,
     c_constant,
     choose_p,
     make_config,
@@ -105,14 +104,20 @@ def test_a2_modulus_identity(chi3, chi5):
     cfg = make_config(chi3, chi5)
     ev = ThmTwoEvaluator(cfg, 50.0)
     lv1, lv2 = ev.l_values(GAMMA_1)
-    a = ev.a_value(GAMMA_1)
+    a = ev.b_value(GAMMA_1) * (lv1.value - lv2.value)
     assert abs(abs(a) - math.sqrt(7) * abs(lv1.value - lv2.value)) < 1e-12
+
+
+def _oracle_a(ev, gamma, chi1, chi2):
+    """A(gamma) = p^rho (L(rho, chi1) - L(rho, chi2)) through the oracle."""
+    s = complex(0.5, gamma)
+    return ev.b_value(gamma) * (l_oracle(s, chi1).value - l_oracle(s, chi2).value)
 
 
 def test_a2_oracle_path_reproducible(chi3, chi5):
     # the oracle-path value is certified: recompute it from first parts
     cfg = make_config(chi3, chi5)
-    orc = a2_gamma(GAMMA_1, cfg, method="oracle")
+    orc = _oracle_a(ThmTwoEvaluator(cfg, 50.0), GAMMA_1, chi3, chi5)
     assert abs(orc) > 1e-6
     s = complex(0.5, GAMMA_1)
     direct = (7 ** s) * (l_oracle(s, chi3).value - l_oracle(s, chi5).value)
@@ -123,24 +128,11 @@ def test_a2_afe_within_certified_bounds(chi3, chi5):
     cfg = make_config(chi3, chi5)
     ev = ThmTwoEvaluator(cfg, 50.0)
     lv1, lv2 = ev.l_values(GAMMA_1)
-    afe = a2_gamma(GAMMA_1, cfg)
-    orc = a2_gamma(GAMMA_1, cfg, method="oracle")
+    afe = ev.b_value(GAMMA_1) * (lv1.value - lv2.value)
+    orc = _oracle_a(ev, GAMMA_1, chi3, chi5)
     # the AFE windows at gamma_1 hold ~4 terms, so the certified remainder
     # bounds are the only honest tolerance here
     assert abs(afe - orc) <= math.sqrt(7) * (lv1.bound + lv2.bound)
-
-
-def test_a2_requires_height(chi3, chi5):
-    cfg = make_config(chi3, chi5)
-    with pytest.raises(PreconditionError):
-        a2_gamma(9.0, cfg)
-
-
-@pytest.mark.parametrize("gamma", [math.nan, math.inf])
-def test_a2_rejects_non_finite_height(chi3, chi5, gamma):
-    # nan used to pass the height check and fail in int(nan)
-    with pytest.raises(PreconditionError):
-        a2_gamma(gamma, make_config(chi3, chi5))
 
 
 @pytest.mark.parametrize("rate", [3.0, -1.0, math.nan, math.inf])
@@ -183,6 +175,13 @@ def test_difference_sum_tracks_main_term(zeros5000, chi3, chi5):
         rel[t] = abs(rep.sum_a - rep.main_term) / abs(rep.main_term)
     assert rel[5000.0] < rel[1000.0]
     assert rel[5000.0] < 0.2
+
+
+def test_log_derivative_at_one_stieltjes_form(chi3, chi5, log_derivative_at_one):
+    # the fixture's Stieltjes form gives the doubles mpmath.dirichlet gives
+    # at 20 digits; a wrong formula misses them
+    assert log_derivative_at_one(chi3) == 0.36828161597014786
+    assert log_derivative_at_one(chi5) == 0.8276794767155049
 
 
 def test_first_moment_check_is_live(zeros1000, chi3, chi5, first_moment_check):

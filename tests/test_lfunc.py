@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import lpairs.lfunc as lfunc
 from lpairs.characters import character
 from lpairs.errors import (
     AccuracyLoss,
@@ -137,12 +138,20 @@ def test_batch_oracle_checks_every_height_against_the_ceiling(chi5):
         l_oracle_critical_batch(np.array([100.0, math.nan]), chi5)
 
 
-def test_batch_oracle_enforces_its_certificate(chi5):
-    # like l_oracle, a worst bound above 1e-9 raises instead of returning
+def test_batch_oracle_enforces_its_certificate(chi3, chi5, monkeypatch):
+    # a worst bound above 1e-9 raises instead of returning.  A real input:
+    # at sigma = 0.05, t = 1e4 the power sums' rounding allowance passes it
+    with pytest.raises(AccuracyLoss, match="oracle bound 7.89e-09"):
+        l_oracle(complex(0.05, 1e4), chi3)
+    # a planted defect: the Hurwitz route reports a 1e-8 bound, and both
+    # entry points refuse its values
+    route = lfunc.l_via_hurwitz
+    monkeypatch.setattr(lfunc, "l_via_hurwitz",
+                        lambda *args: (route(*args)[0], 1e-8))
     with pytest.raises(AccuracyLoss):
-        l_oracle_critical_batch(np.array([100.0]), chi5, tol=1e-6)
+        l_oracle_critical_batch(np.array([100.0]), chi5)
     with pytest.raises(AccuracyLoss):
-        l_oracle(complex(0.5, 100.0), chi5, tol=1e-6)
+        l_oracle(complex(0.5, 100.0), chi5)
 
 
 def test_afe_windows_match_literal_power_sums(chi3, chi5):

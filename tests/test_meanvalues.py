@@ -9,7 +9,6 @@ from lpairs.meanvalues import (
     CoefficientSeries,
     RootSum,
     ThmOneEvaluator,
-    a1_gamma,
     build_b_polynomial,
     chi_root,
     predicted_constant,
@@ -44,6 +43,18 @@ class TestRootSum:
         z = RootSum.root(8, 1).to_complex()
         assert abs(z - complex(math.cos(math.pi / 4), math.sin(math.pi / 4))) < 1e-15
 
+    def test_vanishing_sums_are_zero(self):
+        # 1 + zeta^2 = 0 at order 4 and 1 + zeta^4 + zeta^8 = 0 at order
+        # 12: the form reduced modulo Phi_order is empty, so they equal zero
+        for order, terms in ((4, {0: 1, 2: 1}), (12, {0: 1, 4: 1, 8: 1}),
+                             (12, {1: 2, 7: 2})):
+            r = RootSum(order, terms)
+            assert r.is_zero
+            assert r == RootSum.zero(order)
+            assert hash(r) == hash(RootSum.zero(order))
+        assert RootSum(4, {2: 1}) == -RootSum.one(4)
+        assert RootSum(12, {4: 1}) + RootSum(12, {8: 1}) == -RootSum.one(12)
+
     def test_chi_root_matches_character(self, chi5):
         order = 8
         for n in range(1, 12):
@@ -76,6 +87,14 @@ class TestBPolynomial:
     def test_cubes_vanish(self, bpoly):
         for p in (2, 3, 5):
             assert bpoly.coefficient(p ** 3).is_zero
+
+    def test_support_holds_only_nonzero_coefficients(self, chi3, chi5):
+        # at P = 7, c_7 = -(chi1(7) + chi2(7)) = -(1 - 1) and 11 more
+        # coefficients cancel exactly; 24 of the 36 products remain
+        b7 = build_b_polynomial(7, chi3, chi5)
+        assert b7.coefficient(7).is_zero
+        assert len(b7.coeffs) == 24
+        assert all(abs(c.to_complex()) > 0.5 for c in b7.coeffs.values())
 
     def test_coefficient_magnitude_bound(self, bpoly):
         bound = 2.0 ** bpoly.cutoff
@@ -139,8 +158,10 @@ class TestCoefficients:
         broken = CoefficientSeries("d", bpoly)
         monkeypatch.setattr(CoefficientSeries, "closed_form",
                             lambda self, n: RootSum.one(self.bpoly.order))
+        # d_2 = 1 agrees with the planted closed form; d_4 = 0 does not
+        assert broken.exact(2) == RootSum.one(bpoly.order)
         with pytest.raises(ClosedFormMismatch):
-            broken.exact(2)
+            broken.exact(4)
 
 
 class TestSeriesConstants:
@@ -171,7 +192,7 @@ class TestSeriesConstants:
 class TestStatistic:
     def test_a1_oracle_path_reproducible(self, bpoly):
         from lpairs.lfunc import l_oracle
-        oracle = a1_gamma(GAMMA_1, 0.75, bpoly, method="oracle")
+        oracle = ThmOneEvaluator(bpoly, 0.75, 50.0).a_value_oracle(GAMMA_1)
         assert abs(oracle) > 1e-6
         # recompute the statistic from its parts through the slow oracle
         s = complex(0.75, GAMMA_1)
@@ -183,8 +204,8 @@ class TestStatistic:
     def test_a1_afe_within_certified_bounds(self, bpoly):
         ev = ThmOneEvaluator(bpoly, 0.75, 50.0)
         lv1, lv2 = ev.l_values(GAMMA_1)
-        afe = a1_gamma(GAMMA_1, 0.75, bpoly)
-        oracle = a1_gamma(GAMMA_1, 0.75, bpoly, method="oracle")
+        afe = ev.a_value(GAMMA_1)
+        oracle = ev.a_value_oracle(GAMMA_1)
         budget = 2.0 * abs(ev.b_value(GAMMA_1)) * (
             lv1.bound * (abs(lv2.value) + lv2.bound) + abs(lv1.value) * lv2.bound)
         assert abs(afe - oracle) <= budget
@@ -227,19 +248,9 @@ class TestStatistic:
     def test_a1_antisymmetric_under_swap(self, chi3, chi5):
         fwd = build_b_polynomial(5, chi3, chi5)
         rev = build_b_polynomial(5, chi5, chi3)
-        a = a1_gamma(GAMMA_1, 0.75, fwd, method="oracle")
-        b = a1_gamma(GAMMA_1, 0.75, rev, method="oracle")
+        a = ThmOneEvaluator(fwd, 0.75, 50.0).a_value_oracle(GAMMA_1)
+        b = ThmOneEvaluator(rev, 0.75, 50.0).a_value_oracle(GAMMA_1)
         assert abs(a + b) < 1e-10  # B is symmetric, the inner factor flips
-
-    def test_a1_requires_height(self, bpoly):
-        with pytest.raises(PreconditionError):
-            a1_gamma(5.0, 0.75, bpoly)
-
-    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
-    def test_a1_rejects_non_finite_height(self, bpoly, gamma):
-        # nan used to pass the height check and fail in int(nan)
-        with pytest.raises(PreconditionError):
-            a1_gamma(gamma, 0.75, bpoly)
 
 
 class TestReport:

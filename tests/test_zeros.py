@@ -190,6 +190,6 @@ def test_hybrid_kernel_table_matches_euler_maclaurin(zeros1000, monkeypatch):
     # every sign the Riemann-Siegel kernel returns is the Euler-Maclaurin
     # sign, so grid, bisection and gap audit take the same decisions
     monkeypatch.setattr(zeros_mod, "_hardy_z_batch",
-                        lambda ts, tol=1e-11: specfun._hardy_z_em(ts, tol))
+                        lambda ts: specfun._hardy_z_em(ts, specfun._Z_BATCH_TOL))
     em_only = compute_zeros(1000.0)
     assert np.array_equal(em_only.ordinates, zeros1000.ordinates)
