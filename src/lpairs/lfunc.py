@@ -24,11 +24,14 @@ l_oracle is the slow independent evaluator through Hurwitz zeta:
 L(s, chi) = q^{-s} sum_{a=1}^{q} chi(a) zeta(s, a/q), certified to 1e-9.
 That sum has one implementation, l_via_hurwitz(table, sigma, ts, tol):
 any sigma, a batch of heights, one Euler-Maclaurin kernel call per
-nonzero shift.  It also serves the Euler-product route of the limit
-constants, at t = 0.  The oracle contract (non-principal character,
-finite sigma, |t| <= 1e4, one rounding allowance, bound <= 1e-9) has one
-implementation too: l_oracle applies it to a batch of one height and
-l_oracle_critical_batch to a batch at sigma = 1/2.
+nonzero shift, each with the N = specfun._hurwitz_terms(max|t|, sigma,
+tol) at which the kernel's Backlund remainder bound meets tol (about
+0.24 max|t| in the critical strip).  It also serves the Euler-product
+route of the limit constants, at t = 0.  The oracle contract
+(non-principal character, finite sigma, |t| <= 1e4, one rounding
+allowance, bound <= 1e-9) has one implementation too: l_oracle applies
+it to a batch of one height and l_oracle_critical_batch to a batch at
+sigma = 1/2.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .errors import (
     OutOfStrip,
     PrincipalCharacter,
 )
-from .specfun import _digamma_real, _hurwitz_critical_batch, x_factor
+from .specfun import _digamma_real, _hurwitz_critical_batch, _hurwitz_terms, x_factor
 # perfbench/spans.py wraps hurwitz_zeta_certified by this module's attribute
 from .specfun import hurwitz_zeta_certified
 
@@ -146,9 +149,10 @@ def l_afe(s, chi: DirichletCharacter, delta: float = 1.0) -> LValue:
 def l_via_hurwitz(table, sigma: float, ts, tol: float) -> tuple[np.ndarray, float]:
     """m^{-s} sum_a table[a] zeta(s, a/m) at s = sigma + i t for a batch
     of heights and a period-m value table, with the certified zeta bounds
-    summed and scaled by m^{-sigma}.  One kernel call per nonzero shift;
-    its N comes from the batch's largest |t|."""
+    summed and scaled by m^{-sigma}.  One kernel call per nonzero shift,
+    each with the N that _hurwitz_terms gives the batch's largest |t|."""
     ts = np.asarray(ts, dtype=float)
+    n_terms = _hurwitz_terms(float(np.max(np.abs(ts))), sigma, tol)
     m = len(table)
     total = np.zeros(len(ts), dtype=complex)
     bound = 0.0
@@ -156,7 +160,7 @@ def l_via_hurwitz(table, sigma: float, ts, tol: float) -> tuple[np.ndarray, floa
         ca = table[a]
         if ca == 0:
             continue
-        vals, b = _hurwitz_critical_batch(ts, a / m, tol, sigma)
+        vals, b = _hurwitz_critical_batch(ts, a / m, tol, sigma, n_terms)
         total += ca * vals
         bound += b
     return np.exp(-(sigma + 1j * ts) * math.log(m)) * total, m ** -sigma * bound

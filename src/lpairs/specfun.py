@@ -9,9 +9,15 @@ explicit Backlund remainder bound plus a rounding allowance, and the
 certified-bound variants return that bound alongside the value.
 
 Only double precision is used.  Euler-Maclaurin has one body,
-_hurwitz_critical_batch(ts, a, tol, sigma), which needs N ~ 0.62 max|t|
-terms and sums them one height at a time in one N-term buffer.  numpy
+_hurwitz_critical_batch(ts, a, tol, sigma, n_terms), which sums its N
+main-sum terms one height at a time in one N-term buffer.  numpy
 releases the GIL over each row, so threads can run batches side by side.
+N has two rules.  The Hurwitz L-route and the scalar Hurwitz zeta take
+_hurwitz_terms(max|t|, sigma, tol), the least N at which the kernel's
+own Backlund bound meets tol (about 0.24 max|t| in the critical strip).
+The zero engine's Z takes _em_terms(max|t|) = 0.62 max|t| + 8, because
+the committed zero tables pin its bits: at the shorter N some ordinates
+move by up to 1e-10.
 The scalar routes are batches of one height: hurwitz_zeta, zeta_em
 (a = 1) and hardy_z, which is _hardy_z_em on one height.  The zero
 engine's Z below t = 200 is _hardy_z_em too.  From t = 200 the zero
@@ -64,7 +70,7 @@ _LANCZOS = (
 )
 
 # B_{2k} / (2k)! for k = 1..32 (exact Bernoulli numbers, rounded once).
-_B2K_OVER_FACT = (
+_B2K_OVER_FACT = np.array((
     0.08333333333333333, -0.001388888888888889,
     3.306878306878307e-05, -8.267195767195768e-07,
     2.08767569878681e-08, -5.284190138687493e-10,
@@ -81,7 +87,9 @@ _B2K_OVER_FACT = (
     1.5824030244644914e-43, -4.008273685948936e-45,
     1.0153075855569557e-46, -2.5718041582418717e-48,
     6.514456035233815e-50, -1.6501309906896525e-51,
-)
+))
+_LOG_B2K = np.log(np.abs(_B2K_OVER_FACT))
+_TAIL_BLOCK = 32  # heights per block of the Bernoulli corrections (K x block values)
 
 # Riemann-Siegel corrections C_0..C_4 as polynomials in x = p - 1/2, with
 # p = frac(sqrt(t / 2pi)).  They come from the Taylor coefficients at
@@ -217,28 +225,78 @@ def _digamma_real(x: float) -> float:
 # --- Euler-Maclaurin Hurwitz zeta -------------------------------------------
 
 def _em_terms(tmax: float) -> int:
-    """Euler-Maclaurin main-sum length N = 0.62 tmax + 8 (at least 20)."""
+    """Euler-Maclaurin main-sum length N = 0.62 tmax + 8 (at least 20) of
+    the zero engine's Z, whose committed tables pin its bits."""
     return max(20, int(math.ceil(0.62 * tmax)) + 8)
 
 
-def _hurwitz_critical_batch(ts: np.ndarray, a: float, tol: float = 1e-11,
-                            sigma: float = 0.5):
+def _backlund_orders(tmax: float, sigma: float):
+    """(k, p, log C_k) over the orders k = 2..31 at which
+    _hurwitz_critical_batch may stop, at s = sigma + i tmax.
+
+    Backlund's bound on the remainder after order k is C_k (N + a)^-p
+    with p = sigma + 2k + 1 and
+    C_k = |B_{2k+2} / (2k+2)!| |s + 2k + 1| / p prod_{j<=2k} |s + j|,
+    valid for p > 0.  Every |s + j| grows with |t|, so the bound at tmax
+    covers every height up to it.  Orders whose product would overflow a
+    double (from |t| ~ 6e4) are left out, since the kernel cannot form
+    them.  A factor s + j = 0 makes C_k = 0: the expansion is exact.
+    """
+    k = np.arange(2, 32)
+    p = sigma + 2 * k + 1
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(complex(sigma, tmax) + np.arange(64.0)))
+    log_poch = np.cumsum(log_abs)[2 * k]
+    keep = (p > 0) & (log_poch < 700.0)
+    k, p = k[keep], p[keep]
+    log_c = _LOG_B2K[k] + log_abs[2 * k + 1] - np.log(p) + log_poch[keep]
+    return k, p, log_c
+
+
+def _hurwitz_terms(tmax: float, sigma: float, tol: float) -> int:
+    """Smallest main-sum length N >= 20 at which some order of
+    _backlund_orders meets tol: N_k = (C_k / tol)^(1/p), formed in logs,
+    serves every height up to tmax and every shift a (N + a > N), and N
+    is one above the least N_k, which absorbs the rounding of the logs.
+
+    That is about 0.24 tmax in the critical strip, where _em_terms gives
+    0.62 tmax; at tmax = 0 it is 20, as _em_terms is.
+    """
+    _, p, log_c = _backlund_orders(tmax, sigma)
+    if len(p) == 0:  # no order the kernel may stop at: it refuses sigma
+        return 20
+    return max(20, math.ceil(math.exp(float(np.min((log_c - math.log(tol)) / p)))) + 1)
+
+
+def _hurwitz_critical_batch(ts: np.ndarray, a: float, tol: float, sigma: float,
+                            n_terms: int):
     """zeta(sigma + i t, a) over a batch of heights, with one shared truncation.
 
     The one Euler-Maclaurin body of the workbench: the scalar routes call
-    it on a batch of one height.  N = _em_terms(max|t|) terms form the
-    main sum sum_n (n + a)^{-sigma} e^{-i t log(n + a)} one height at a
-    time, so memory is O(N) for any batch; N is set by the batch's
-    largest height, so callers should batch heights in narrow windows.
+    it on a batch of one height.  n_terms = N terms form the main sum
+    sum_n (n + a)^{-sigma} e^{-i t log(n + a)} one height at a time, so
+    memory is O(N) for any batch.  Callers size N for the batch's largest
+    height, so they should batch heights in narrow windows: the L-route
+    and the scalar Hurwitz zeta take _hurwitz_terms, the least N its
+    remainder bound accepts; the zero engine's Z takes _em_terms, which
+    its committed tables pin.
     The truncation remainder after K Bernoulli corrections is bounded by
-    Backlund's estimate |(s+2K+1)/(sigma+2K+1)| * |next term|, with K the
-    first order where that bound is <= tol at every height.  A
-    root-sum-square rounding allowance for the oscillatory power sums
+    Backlund's estimate |(s+2K+1)/(sigma+2K+1)| * |next term|, valid for
+    sigma + 2K + 1 > 0, with K the first order of _backlund_orders where
+    that bound is <= tol at the batch's largest height, and so at every
+    height.  The K corrections are formed side by side, one row per
+    order, for blocks of _TAIL_BLOCK heights, so a batch of one height
+    costs a few dozen numpy calls whatever K is.
+    A root-sum-square rounding allowance for the oscillatory power sums
     (phase error ~ |t| log n * eps per term) is added with a factor-4
-    margin.  Returns (values, worst certified bound).
+    margin.  The tail terms (the integral, the half term and the K
+    corrections) add a worst-case rounding term: each is off by at most
+    eps (2 (|s| + 2K) log(N + a) + 7K + 8) of its size (the power's
+    phase t log(N + a), the Pochhammer product), and each of the K + 3
+    additions into the value by eps |value|.
+    Returns (values, worst certified bound).
     """
     tmax = float(np.max(np.abs(ts)))
-    n_terms = _em_terms(tmax)
     base = np.arange(n_terms, dtype=float) + a
     logb = np.log(base)
     amp = base ** -sigma
@@ -255,26 +313,43 @@ def _hurwitz_critical_batch(ts: np.ndarray, a: float, tol: float = 1e-11,
         values[i] = row.sum()
     s = sigma + 1j * ts
     na = float(n_terms + a)
-    values += na ** (1.0 - s) / (s - 1.0) + 0.5 * na ** (-s)
+    integral = na ** (1.0 - s) / (s - 1.0)
+    half = 0.5 * na ** (-s)
+    values += integral + half
+    tail = np.abs(integral) + np.abs(half)
 
-    poch = s.copy()
-    values += _B2K_OVER_FACT[0] * poch * na ** (-s - 1.0)
-    trunc = None
-    for k in range(2, 32):
-        poch = poch * (s + (2 * k - 3)) * (s + (2 * k - 2))
-        values += _B2K_OVER_FACT[k - 1] * poch * na ** (-s - 2.0 * k + 1.0)
-        next_mag = (abs(_B2K_OVER_FACT[k]) * np.abs(poch * (s + (2 * k - 1)) * (s + 2 * k))
-                    * na ** (-sigma - 2.0 * k - 1.0))
-        bound = float(np.max(np.abs(s + (2 * k + 1)) / (sigma + 2 * k + 1) * next_mag))
-        if bound <= tol:
-            trunc = bound
-            break
-    if trunc is None:
+    k, p, log_c = _backlund_orders(tmax, sigma)
+    log_trunc = log_c - p * math.log(na)
+    stops = np.nonzero(log_trunc <= math.log(tol))[0]
+    if len(stops) == 0:
         raise AccuracyLoss(f"Euler-Maclaurin remainder did not reach {tol:g} at "
-                           f"sigma={sigma}, |t| <= {tmax}, a={a}")
+                           f"sigma={sigma}, |t| <= {tmax}, a={a}, N={n_terms}")
+    order = int(k[stops[0]])
+    trunc = math.exp(log_trunc[stops[0]])
+    for lo in range(0, len(ts), _TAIL_BLOCK):
+        sb, vb = s[lo:lo + _TAIL_BLOCK], values[lo:lo + _TAIL_BLOCK]
+        # row k - 1 is order k: B_2k / (2k)! s (s + 1) ... (s + 2k - 2)
+        # (N + a)^(-s - 2k + 1).  The committed zero tables pin the bits of
+        # this order: products one factor at a time, left to right (np.cumprod
+        # rounds differently), exponents -s - 1 and -s - 2k + 1, then a
+        # running sum
+        factors = sb + np.arange(2.0 * order - 1.0)[:, None]
+        terms = np.empty((order, len(sb)), dtype=complex)
+        terms[0] = sb
+        for m in range(1, order):
+            np.multiply(terms[m - 1] * factors[2 * m - 1], factors[2 * m], out=terms[m])
+        powers = -sb - 2.0 * np.arange(1, order + 1)[:, None] + 1.0
+        powers[0] = -sb - 1.0
+        terms *= _B2K_OVER_FACT[:order, None]
+        terms *= np.power(na, powers, out=powers)
+        vb[:] = np.cumsum(np.vstack((vb, terms)), axis=0)[-1]
+        tail[lo:lo + _TAIL_BLOCK] += np.sum(np.abs(terms), axis=0)
     rounding = (_EPS * (tmax + 2.0) * math.log(na + 2.0)
                 * math.sqrt(float(np.sum(base ** (-2.0 * sigma))) + 1.0))
-    return values, trunc + 4.0 * rounding
+    tail_rounding = _EPS * float(np.max(
+        (2.0 * (np.abs(s) + 2 * order) * math.log(na) + 7 * order + 8) * tail
+        + (order + 3) * np.abs(values)))
+    return values, trunc + 4.0 * rounding + tail_rounding
 
 
 def hurwitz_zeta(s, a) -> complex:
@@ -292,7 +367,9 @@ def hurwitz_zeta_certified(s, a) -> tuple[complex, float]:
     a = float(a)
     if not 0.0 < a <= 1.0:
         raise DomainTooSmall(f"shift a must lie in (0, 1], got {a}")
-    values, bound = _hurwitz_critical_batch(np.array([s.imag]), a, _SCALAR_TOL, s.real)
+    values, bound = _hurwitz_critical_batch(
+        np.array([s.imag]), a, _SCALAR_TOL, s.real,
+        _hurwitz_terms(abs(s.imag), s.real, _SCALAR_TOL))
     return complex(values[0]), bound
 
 
@@ -386,7 +463,8 @@ def _rs_z_batch(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _hardy_z_em(ts: np.ndarray, tol: float) -> np.ndarray:
     """Euler-Maclaurin Z over an ascending batch; the imaginary residue of
     e^{i theta} zeta is an accuracy check (AccuracyLoss above 1e-6)."""
-    zeta_vals, _ = _hurwitz_critical_batch(ts, 1.0, tol)
+    zeta_vals, _ = _hurwitz_critical_batch(ts, 1.0, tol, 0.5,
+                                           _em_terms(float(np.max(np.abs(ts)))))
     z = np.exp(1j * riemann_siegel_theta(ts)) * zeta_vals
     worst = float(np.max(np.abs(z.imag)))
     if worst > 1e-6:

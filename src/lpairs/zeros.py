@@ -58,8 +58,12 @@ class ZeroTable:
 
     ordinates: np.ndarray
     source: str              # "file" or "computed"
-    precision: float
     t_max: float             # height up to which the table is complete
+
+    @property
+    def precision(self) -> float:
+        """Claimed ordinate precision: ORDINATE_PRECISION for every table."""
+        return ORDINATE_PRECISION
 
     def __len__(self) -> int:
         return len(self.ordinates)
@@ -164,8 +168,7 @@ def load_zeros(path) -> ZeroTable:
     _validate_ordinates(gammas, str(path))
     # an empty file is a valid (vacuous) table: N(T) = 0 for every T
     t_max = _rvm_coverage(gammas) if len(gammas) else math.inf
-    return ZeroTable(ordinates=gammas, source="file",
-                     precision=ORDINATE_PRECISION, t_max=t_max)
+    return ZeroTable(ordinates=gammas, source="file", t_max=t_max)
 
 
 def _scan_windows(t_max: float, density: float):
@@ -276,5 +279,4 @@ def compute_zeros(t_max: float) -> ZeroTable:
             _validate_ordinates(gammas, "computed table (rescanned)")
         except (NonMonotonic, CountInconsistent) as exc:
             raise MissedZero(f"zero scan failed its count certificate: {exc}")
-    return ZeroTable(ordinates=gammas, source="computed",
-                     precision=ORDINATE_PRECISION, t_max=float(t_max))
+    return ZeroTable(ordinates=gammas, source="computed", t_max=float(t_max))

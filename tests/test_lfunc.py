@@ -141,7 +141,7 @@ def test_batch_oracle_checks_every_height_against_the_ceiling(chi5):
 def test_batch_oracle_enforces_its_certificate(chi3, chi5, monkeypatch):
     # a worst bound above 1e-9 raises instead of returning.  A real input:
     # at sigma = 0.05, t = 1e4 the power sums' rounding allowance passes it
-    with pytest.raises(AccuracyLoss, match="oracle bound 7.89e-09"):
+    with pytest.raises(AccuracyLoss, match="oracle bound 4.79e-09"):
         l_oracle(complex(0.05, 1e4), chi3)
     # a planted defect: the Hurwitz route reports a 1e-8 bound, and both
     # entry points refuse its values

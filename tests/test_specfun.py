@@ -19,7 +19,7 @@ from lpairs.errors import (
     PoleAtOne,
     PrincipalCharacter,
 )
-from lpairs.lfunc import l_oracle
+from lpairs.lfunc import l_oracle, l_via_hurwitz
 from lpairs.specfun import (
     hardy_z,
     hurwitz_zeta,
@@ -158,6 +158,39 @@ class TestZeta:
             _, bound = hurwitz_zeta_certified(complex(0.75, t), 1.0)
             assert bound <= 1e-10
 
+    def test_l_route_bounds_hold_against_mpmath_low_sigma(self):
+        # the L-route's short main sum at the low sigma and shifts a/q where
+        # its bound is largest: m^-s sum_a chi(a) zeta(s, a/m) at 30 digits,
+        # at the top height of a two-height batch
+        with mp.workdps(30):
+            for chi, sigma, t in ((character(3, 1), 0.35, 9987.25),
+                                  (character(5, 2), 0.2, 9993.5),
+                                  (character(7, 3), 0.05, 9999.75)):
+                table = chi.value_table()
+                q = chi.modulus
+                values, bound = l_via_hurwitz(table, sigma, [t - 3.0, t], 1e-11)
+                s = mp.mpc(sigma, t)
+                ref = sum(mp.mpc(table[a]) * mp.zeta(s, mp.mpf(a) / q)
+                          for a in range(1, q)) * mp.power(q, -s)
+                assert abs(values[1] - complex(ref)) <= bound
+
+    def test_bound_holds_near_the_pole(self):
+        # zeta(s, a) ~ 1/(s - 1) there, and the tail's integral term used to
+        # carry float error beyond the bound: 15x it at s = 1.0001, a = 1
+        with mp.workdps(30):
+            for s in (1.0001, 1.001, complex(1.02, 0.01)):
+                for a in (1.0, 1.0 / 3.0, 0.2):
+                    got, bound = hurwitz_zeta_certified(s, a)
+                    ref = mp.zeta(mp.mpc(complex(s).real, complex(s).imag), mp.mpf(a))
+                    assert abs(got - complex(ref)) <= bound
+
+    def test_below_backlund_range_bound_is_honest(self):
+        # sigma + 2k + 1 <= 0 used to pass the remainder test with a
+        # negative bound, at -29.5 here, and return a wrong value
+        got, bound = hurwitz_zeta_certified(complex(-6.5, 3.0), 0.3)
+        assert 0.0 < bound
+        assert abs(got - complex(mp.zeta(mp.mpc(-6.5, 3.0), 0.3))) <= bound
+
     def test_shift_domain(self):
         with pytest.raises(DomainTooSmall):
             hurwitz_zeta(2.0, 1.5)
@@ -174,11 +207,10 @@ class TestZeta:
                 zeta_em(s)
 
 
-def _one_shot_kernel(ts, a, tol, sigma):
+def _one_shot_kernel(ts, a, tol, sigma, n_terms):
     """_hurwitz_critical_batch with its main sum formed for the whole batch
     in one outer-product pass; the tail is the kernel's, operation for
     operation."""
-    n_terms = specfun._em_terms(float(np.max(np.abs(ts))))
     base = np.arange(n_terms, dtype=float) + a
     logb = np.log(base)
     amp = base ** -sigma
@@ -205,21 +237,47 @@ class TestEulerMaclaurinKernel:
     @pytest.mark.parametrize("a", [1.0, 0.2])
     def test_streamed_main_sum_equals_one_shot_pass(self, a, sigma, t0):
         # each height's pairwise sum is the same row of the one-shot pass,
-        # so every caller gets the same bits
+        # so every caller gets the same bits, at the L-route's N and at Z's
         ts = np.linspace(t0, t0 + 100.0, 512)
-        values, _ = specfun._hurwitz_critical_batch(ts, a, 1e-11, sigma)
-        assert np.array_equal(values, _one_shot_kernel(ts, a, 1e-11, sigma))
+        for n_terms in (specfun._hurwitz_terms(t0 + 100.0, sigma, 1e-11),
+                        specfun._em_terms(t0 + 100.0)):
+            values, _ = specfun._hurwitz_critical_batch(ts, a, 1e-11, sigma, n_terms)
+            assert np.array_equal(values, _one_shot_kernel(ts, a, 1e-11, sigma, n_terms))
 
     def test_memory_is_one_height_of_terms(self):
         # a whole-batch pass holds 512 x 6,208 complex temporaries (~100 MB)
+        # at the longer of the two main sums, Z's
         ts = np.linspace(9500.0, 1e4, 512)
         tracemalloc.start()
         try:
-            specfun._hurwitz_critical_batch(ts, 0.2)
+            specfun._hurwitz_critical_batch(ts, 0.2, 1e-11, 0.5, specfun._em_terms(1e4))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
+
+    def test_remainder_sized_terms_stay_within_float_range(self):
+        # at |t| = 1e5 the highest orders' Pochhammer products overflow, and
+        # sizing N by them used to leave the kernel no order that converged
+        got, bound = hurwitz_zeta_certified(complex(0.5, 1e5), 0.3)
+        ref, ref_bound = specfun._hurwitz_critical_batch(
+            np.array([1e5]), 0.3, 1e-12, 0.5, specfun._em_terms(1e5))
+        assert abs(got - ref[0]) <= bound + ref_bound
+
+    def test_l_route_terms_come_from_the_remainder_bound(self):
+        # the kernel meets tol at the N its own Backlund bound asks for,
+        # which is well under Z's 0.62 t; at half that N it must refuse
+        for sigma in (0.05, 0.25, 0.5, 0.75, 0.95):
+            for tmax in (0.0, 14.0, 200.0, 1e3, 5e3, 1e4):
+                n_terms = specfun._hurwitz_terms(tmax, sigma, 1e-11)
+                assert n_terms <= 0.26 * tmax + 20
+                ts = np.array([tmax])
+                for a in (1.0, 1.0 / 3.0, 2.0 / 3.0, 0.2):
+                    specfun._hurwitz_critical_batch(ts, a, 1e-11, sigma, n_terms)
+                    if tmax >= 200.0:
+                        with pytest.raises(AccuracyLoss, match="did not reach"):
+                            specfun._hurwitz_critical_batch(ts, a, 1e-11, sigma,
+                                                            n_terms // 2)
 
 
 class TestHardyZ:

@@ -143,7 +143,7 @@ def test_round_trip_property(zeros100):
         gammas = zeros100.ordinates + np.array(shifts)
         if extra < n:
             gammas = np.insert(gammas, extra + 1, gammas[extra] + gap)
-        table = ZeroTable(ordinates=gammas, source="computed", precision=1e-9,
+        table = ZeroTable(ordinates=gammas, source="computed",
                           t_max=float(gammas[-1]))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "zeros.txt"
