@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NonPrimeModulus
+from .errors import IndexOutOfRange, NonPrimeModulus, PrincipalCharacter
 from .primes import is_prime
 
 
@@ -79,7 +79,6 @@ class DirichletCharacter:
 
     modulus: int
     index: int
-    generator: int = field(compare=False)
     parity: int = field(compare=False)  # (1 - chi(-1)) / 2, in {0, 1}
 
     @property
@@ -123,11 +122,17 @@ def character(q: int, j: int) -> DirichletCharacter:
         raise NonPrimeModulus(f"modulus {q} is not an odd prime >= 3")
     if not 0 <= j <= q - 2:
         raise IndexOutOfRange(f"character index {j} outside [0, {q - 2}]")
-    g = smallest_primitive_root(q)
     # chi(-1) = exp(2 pi i * j*log(-1)/(q-1)); the exponent is 0 or (q-1)/2
     e = j * _dlog_table(q)[q - 1] % (q - 1)
     parity = 0 if e == 0 else 1
-    return DirichletCharacter(modulus=q, index=j, generator=g, parity=parity)
+    return DirichletCharacter(modulus=q, index=j, parity=parity)
+
+
+def _check_non_principal(*chis: DirichletCharacter) -> None:
+    """Raise PrincipalCharacter if any of the characters is principal."""
+    for chi in chis:
+        if chi.is_principal:
+            raise PrincipalCharacter(f"need a non-principal character, got {chi}")
 
 
 def gauss_sum(k: int, chi: DirichletCharacter) -> complex:
@@ -152,11 +157,8 @@ def epsilon_factor(chi: DirichletCharacter) -> complex:
 
 def parse_character(text: str) -> DirichletCharacter:
     """Parse the canonical "q:j" form used on the command line."""
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise IndexOutOfRange(f"character spec {text!r} is not of the form q:j")
     try:
-        q, j = int(parts[0]), int(parts[1])
-    except ValueError:
+        q, j = map(int, text.split(":"))
+    except ValueError:  # a part that is not an integer, or not two parts
         raise IndexOutOfRange(f"character spec {text!r} is not of the form q:j")
     return character(q, j)

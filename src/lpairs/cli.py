@@ -15,8 +15,8 @@ import os
 import sys
 
 from . import __version__
-from .characters import character, gauss_sum, parse_character
-from .criticalline import ThmTwoReport, make_config, thm2_report
+from .characters import _check_non_principal, character, gauss_sum, parse_character
+from .criticalline import ThmTwoReport, _check_height, make_config, thm2_report
 from .errors import DataError, NumericsError, PreconditionError
 from .landau import (
     landau_error_budget,
@@ -29,6 +29,7 @@ from .meanvalues import (
     MeanValueReport,
     _audit_stride,
     _check_sigma,
+    _csv_row,
     build_b_polynomial,
     thm1_report,
 )
@@ -37,7 +38,6 @@ from .zeros import compute_zeros, load_zeros
 
 AFE_GRID_SIGMAS = (0.55, 0.6, 0.75, 0.9)
 AFE_GRID_HEIGHTS = (1e2, 1e3, 5e3)
-AFE_GRID_DELTAS = ("1", "sqrt_q", "sqrt_5", "2", "3")
 
 
 def _resolve_zeros(spec: str | None, t_needed: float):
@@ -100,9 +100,8 @@ def _cmd_landau(args) -> None:
     lines = ["x,T,re_sum,im_sum,main_term,budget"]
     for t in args.t_values:
         s = landau_zero_sum(x, table, t)
-        lines.append(",".join([str(x), repr(float(t)), repr(s.real), repr(s.imag),
-                               repr(landau_main_term(x, t)),
-                               repr(landau_error_budget(x, t))]))
+        lines.append(_csv_row([x, float(t), s.real, s.imag, landau_main_term(x, t),
+                               landau_error_budget(x, t)]))
     _write_lines(args.output, lines)
 
 
@@ -114,17 +113,15 @@ def _cmd_afe_verify(args) -> None:
             chi = character(q, j)
             for sigma in AFE_GRID_SIGMAS:
                 for t in AFE_GRID_HEIGHTS:
-                    for spec in AFE_GRID_DELTAS:
-                        delta = math.sqrt(q) if spec == "sqrt_q" else (
-                            math.sqrt(5.0) if spec == "sqrt_5" else float(spec))
-                        s = complex(sigma, t)
+                    s = complex(sigma, t)
+                    oracle = l_oracle(s, chi).value
+                    for delta in (1.0, math.sqrt(q), math.sqrt(5.0), 2.0, 3.0):
                         afe = l_afe(s, chi, delta)
-                        err = abs(afe.value - l_oracle(s, chi).value)
+                        err = abs(afe.value - oracle)
                         ratio = err / afe.bound
                         worst = max(worst, ratio)
-                        lines.append(",".join([
-                            str(q), str(j), repr(sigma), repr(t), repr(delta),
-                            repr(err), repr(afe.bound), repr(ratio)]))
+                        lines.append(_csv_row([q, j, sigma, t, delta, err,
+                                               afe.bound, ratio]))
     _write_lines(args.output, lines)
     print(f"afe-verify: {len(lines) - 1} points, worst error/bound = {worst:.3e}",
           file=sys.stderr)
@@ -142,8 +139,7 @@ def _write_sweep(args, header: str, report) -> None:
 def _cmd_thm1(args) -> None:
     chi1 = parse_character(args.char1)
     chi2 = parse_character(args.char2)
-    if chi1.is_principal or chi2.is_principal:
-        raise PreconditionError("thm1 characters must be non-principal")
+    _check_non_principal(chi1, chi2)
     cutoff = None if args.cutoff == "auto" else int(args.cutoff)
     # validate before the zero table is loaded or computed
     if cutoff is not None:
@@ -160,6 +156,8 @@ def _cmd_thm2(args) -> None:
     p = None if args.p == "auto" else int(args.p)
     cfg = make_config(chi1, chi2, p)
     _audit_stride(args.audit_rate)  # validate before the zero table is loaded
+    for t in args.t_values:
+        _check_height(t)
     _write_sweep(args, ThmTwoReport.CSV_HEADER, lambda table, t: thm2_report(
         table, t, cfg, audit_rate=args.audit_rate, method=args.method))
     print(f"thm2: p = {cfg.p}, C1 = {cfg.c1:.6f}, C2 = {cfg.c2:.6f}",

@@ -33,8 +33,8 @@ Zeros are sampled at numerically computed ordinates, which lie on the
 critical line at desk heights, so rho = 1/2 + i gamma throughout.
 
 thm2_report is thm1_report with another statistic: the L-values at each
-zero are lfunc.AfeWindows.value, and the audited zero loop and the
-Cauchy-Schwarz reducer are meanvalues._audited_rows and _cauchy_schwarz.
+zero are lfunc.AfeWindows.value; the zero loop, the audit verdict and the
+reducer are meanvalues._audited_rows, _check_audit and _cauchy_schwarz.
 method "oracle" replaces the loop by l_oracle_critical_batch over blocks
 of _EVAL_CHUNK heights, one task per block and character, run on one
 thread per CPU.  The per-zero values land in one preallocated array in
@@ -50,10 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import DirichletCharacter, gauss_sum
-from .errors import OracleAuditFailure, PreconditionError, SearchExhausted
+from .characters import DirichletCharacter, _check_non_principal, gauss_sum
+from .errors import PreconditionError, SearchExhausted
 from .lfunc import AfeWindows, LValue, l_oracle, l_oracle_critical_batch
-from .meanvalues import _audit_stride, _audited_rows, _cauchy_schwarz
+from .meanvalues import (_audit_stride, _audited_rows, _cauchy_schwarz, _check_audit,
+                         _csv_row)
 from .primes import is_prime
 # perfbench/spans.py wraps x_factor and neumaier_sum by this module's
 # attributes, so the names stay importable here
@@ -84,8 +85,7 @@ def choose_p(chi1: DirichletCharacter, chi2: DirichletCharacter) -> int:
     q, ell = chi1.modulus, chi2.modulus
     if q == ell:
         raise PreconditionError("characters must have distinct prime moduli")
-    if chi1.is_principal or chi2.is_principal:
-        raise PreconditionError("both characters must be non-principal")
+    _check_non_principal(chi1, chi2)
     p = 1
     while p <= _P_SEARCH_BOUND:
         p += q
@@ -124,6 +124,7 @@ class CriticalLineConfig:
 
 def make_config(chi1: DirichletCharacter, chi2: DirichletCharacter,
                 p: int | None = None) -> CriticalLineConfig:
+    _check_non_principal(chi1, chi2)
     if p is None:
         p = choose_p(chi1, chi2)
     elif not is_prime(p) or p in (chi1.modulus, chi2.modulus):
@@ -157,12 +158,7 @@ class ThmTwoEvaluator:
         o2 = l_oracle(s, self.cfg.chi2)
         tol = self._amp_p * (lv1.bound + lv2.bound + o1.bound + o2.bound) + 1e-9
         b = self.b_value(gamma)
-        afe_a = b * (lv1.value - lv2.value)
-        oracle_a = b * (o1.value - o2.value)
-        if abs(afe_a - oracle_a) > tol:
-            raise OracleAuditFailure(
-                f"A({gamma}): AFE {afe_a} vs oracle {oracle_a} "
-                f"differ by {abs(afe_a - oracle_a):.3e} > {tol:.3e}")
+        _check_audit(gamma, b * (lv1.value - lv2.value), b * (o1.value - o2.value), tol)
 
 
 @dataclass(frozen=True)
@@ -186,13 +182,18 @@ class ThmTwoReport:
 
     def csv_row(self) -> str:
         scale = self.t * math.log(self.t) ** 2
-        cells = [self.t, self.sum_a.real, self.sum_a.imag,
-                 self.sum_chi1.real, self.sum_chi1.imag,
-                 self.sum_chi2.real, self.sum_chi2.imag,
-                 self.main_term.real, self.main_term.imag,
-                 self.sum_abs_a2, self.sum_abs_a2 / scale,
-                 self.lower_bound_count, self.lower_bound_count / self.t]
-        return ",".join(repr(float(c)) for c in cells)
+        return _csv_row([float(self.t), self.sum_a.real, self.sum_a.imag,
+                         self.sum_chi1.real, self.sum_chi1.imag,
+                         self.sum_chi2.real, self.sum_chi2.imag,
+                         self.main_term.real, self.main_term.imag,
+                         self.sum_abs_a2, self.sum_abs_a2 / scale,
+                         self.lower_bound_count, self.lower_bound_count / self.t])
+
+
+def _check_height(t: float) -> None:
+    """thm2's height: 2 pi < T < inf, so that log(T/2pi) > 0 (nan fails)."""
+    if not 2.0 * math.pi < t < math.inf:
+        raise PreconditionError(f"thm2 needs 2 pi < T < inf, got {t}")
 
 
 def thm2_report(zeros: ZeroTable, t: float, cfg: CriticalLineConfig,
@@ -207,6 +208,7 @@ def thm2_report(zeros: ZeroTable, t: float, cfg: CriticalLineConfig,
     Hurwitz route, trading about 4x the AFE route's CPU time at T = 1e4
     for bias-free first moments.
     """
+    _check_height(t)
     if method not in ("afe", "oracle"):
         raise PreconditionError(f"method must be 'afe' or 'oracle', got {method!r}")
     stride = _audit_stride(audit_rate)

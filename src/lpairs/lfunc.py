@@ -41,13 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, _check_non_principal
 from .errors import (
     AccuracyLoss,
     DomainTooSmall,
     HeightExceeded,
     OutOfStrip,
-    PrincipalCharacter,
 )
 from .specfun import _digamma_real, _hurwitz_critical_batch, _hurwitz_terms, x_factor
 # perfbench/spans.py wraps hurwitz_zeta_certified by this module's attribute
@@ -65,13 +64,6 @@ class LValue:
     value: complex
     bound: float
     method: str  # "afe" or "oracle"
-
-
-def _require_strip_char(s: complex, chi: DirichletCharacter) -> None:
-    if not 0.0 < s.real < 1.0:
-        raise OutOfStrip(f"need 0 < Re s < 1, got Re s = {s.real}")
-    if chi.is_principal:
-        raise PrincipalCharacter("evaluators require a non-principal character")
 
 
 def afe_remainder_bound(sigma: float, t: float, q: int, delta: float) -> float:
@@ -132,7 +124,9 @@ def l_afe(s, chi: DirichletCharacter, delta: float = 1.0) -> LValue:
     L(s, chi) = conj(L(conj s, conj chi)); |t| < 10 is out of range.
     """
     s = complex(s)
-    _require_strip_char(s, chi)
+    if not 0.0 < s.real < 1.0:
+        raise OutOfStrip(f"need 0 < Re s < 1, got Re s = {s.real}")
+    _check_non_principal(chi)
     if delta < 1.0:
         raise DomainTooSmall(f"window parameter Delta must be >= 1, got {delta}")
     if not math.isfinite(s.imag):
@@ -169,8 +163,7 @@ def l_via_hurwitz(table, sigma: float, ts, tol: float) -> tuple[np.ndarray, floa
 def _oracle_batch(chi: DirichletCharacter, sigma: float, ts) -> tuple[np.ndarray, float]:
     """The oracle contract: L(sigma + i t, chi) over a batch of heights,
     with one worst bound for the batch."""
-    if chi.is_principal:
-        raise PrincipalCharacter("l_oracle requires a non-principal character")
+    _check_non_principal(chi)
     if not math.isfinite(sigma):
         raise DomainTooSmall(f"l_oracle needs a finite real part, got {sigma}")
     if len(ts) == 0:

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import DirichletCharacter, _unit_roots
+from .characters import DirichletCharacter, _check_non_principal, _unit_roots
 from .errors import (
     ClosedFormMismatch,
     CutoffTooSmall,
@@ -261,12 +261,7 @@ class CoefficientSeries:
 
     def convolution(self, n: int) -> RootSum:
         """sum_{n = k m} c_k chi(m), over the sparse mollifier support."""
-        order = self.bpoly.order
-        total = RootSum.zero(order)
-        for k, c in self.bpoly.coeffs.items():
-            if n % k == 0:
-                total = total + c * chi_root(self.inner, n // k, order)
-        return total
+        return self.truncated(n, math.inf)
 
     def closed_form(self, n: int) -> RootSum:
         """The factored form: chi(n) off the prime set; zero if p^2 | n for
@@ -302,7 +297,7 @@ class CoefficientSeries:
         return self.exact(n).to_complex()
 
     def truncated(self, n: int, t: float) -> RootSum:
-        """d'_n(t): the convolution restricted to m <= sqrt(q l t / 2 pi).
+        """d'_n(t): sum_{n = k m} c_k chi(m) restricted to m <= sqrt(q l t / 2 pi).
 
         Equals the full coefficient for n <= sqrt(q l t / 2 pi).
         """
@@ -341,10 +336,6 @@ def _twist_table(chi_a: DirichletCharacter, chi_b: DirichletCharacter) -> np.nda
                     dtype=complex)
 
 
-def _character_prefix_max(table: np.ndarray) -> float:
-    return float(np.max(np.abs(np.cumsum(table))))
-
-
 def _series_route(series: CoefficientSeries, sigma: float,
                   tol_tail: float) -> tuple[complex, float, int]:
     """Direct truncated Dirichlet series sum_{n <= N} a_n n^{-2 sigma}.
@@ -366,7 +357,8 @@ def _series_route(series: CoefficientSeries, sigma: float,
     bpoly = series.bpoly
     inner, other = series.inner, series.other
     twist = _twist_table(inner, other)
-    structural = 2.0 * bpoly.sum_abs_coefficients() * _character_prefix_max(twist)
+    s_max = float(np.max(np.abs(np.cumsum(twist))))  # S_max(xi): largest |prefix sum|
+    structural = 2.0 * bpoly.sum_abs_coefficients() * s_max
     n_limit = int(math.ceil((structural / tol_tail) ** (1.0 / (2.0 * sigma))))
     n_limit = max(n_limit, 1000)
     if n_limit > 8 * 10 ** 8:
@@ -480,6 +472,19 @@ def predicted_constant(bpoly: BPolynomial, sigma: float) -> complex:
 
 # --- the statistic A(gamma) and its mean ---------------------------------------
 
+def _statistic(b: complex, l1: complex, l2: complex) -> complex:
+    """A = B 2i Im(L1 conj L2) from the mollifier value and the two L-values."""
+    return b * 2j * (l1 * l2.conjugate()).imag
+
+
+def _check_audit(gamma: float, afe_a: complex, oracle_a: complex, tol: float) -> None:
+    """Both theorems' audit verdict: raise when |afe_a - oracle_a| > tol."""
+    if abs(afe_a - oracle_a) > tol:
+        raise OracleAuditFailure(
+            f"A({gamma}): AFE {afe_a} vs oracle {oracle_a} "
+            f"differ by {abs(afe_a - oracle_a):.3e} > {tol:.3e}")
+
+
 class ThmOneEvaluator:
     """Evaluates A(gamma) = B(s,P) * 2i Im(L(s,chi1) conj(L(s,chi2))) fast.
 
@@ -496,10 +501,10 @@ class ThmOneEvaluator:
 
     def __init__(self, bpoly: BPolynomial, sigma: float, t_max: float):
         _check_sigma(sigma)
+        _check_non_principal(bpoly.chi1, bpoly.chi2)
         self.bpoly = bpoly
         self.sigma = sigma
-        self.chi1 = bpoly.chi1
-        self.chi2 = bpoly.chi2
+        self.chi1, self.chi2 = bpoly.chi1, bpoly.chi2
         self.delta1 = math.sqrt(self.chi2.modulus)
         self.delta2 = 1.0
         self._win1 = AfeWindows(self.chi1, sigma, self.delta1, t_max)
@@ -520,14 +525,13 @@ class ThmOneEvaluator:
 
     def a_value(self, gamma: float) -> complex:
         lv1, lv2 = self.l_values(gamma)
-        inner = 2j * (lv1.value * lv2.value.conjugate()).imag
-        return self.b_value(gamma) * inner
+        return _statistic(self.b_value(gamma), lv1.value, lv2.value)
 
     def a_value_oracle(self, gamma: float) -> complex:
         s = complex(self.sigma, gamma)
         l1 = l_oracle(s, self.chi1).value
         l2 = l_oracle(s, self.chi2).value
-        return self.b_value(gamma) * 2j * (l1 * l2.conjugate()).imag
+        return _statistic(self.b_value(gamma), l1, l2)
 
     def audit(self, gamma: float) -> None:
         """Re-evaluate through the oracle; abort if beyond combined bounds."""
@@ -537,16 +541,16 @@ class ThmOneEvaluator:
         pair_err = (lv1.bound * (abs(o2.value) + lv2.bound)
                     + abs(o1.value) * lv2.bound + o1.bound + o2.bound)
         b = self.b_value(gamma)
-        tol = 2.0 * abs(b) * pair_err + 1e-9
-        afe_a = b * 2j * (lv1.value * lv2.value.conjugate()).imag
-        oracle_a = self.a_value_oracle(gamma)
-        if abs(afe_a - oracle_a) > tol:
-            raise OracleAuditFailure(
-                f"A({gamma}): AFE {afe_a} vs oracle {oracle_a} "
-                f"differ by {abs(afe_a - oracle_a):.3e} > {tol:.3e}")
+        _check_audit(gamma, _statistic(b, lv1.value, lv2.value),
+                     self.a_value_oracle(gamma), 2.0 * abs(b) * pair_err + 1e-9)
 
 
 # --- reports --------------------------------------------------------------------
+
+def _csv_row(cells) -> str:
+    """A CSV row: repr for floats, which round-trips them exactly, str otherwise."""
+    return ",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in cells)
+
 
 @dataclass(frozen=True)
 class MeanValueReport:
@@ -565,10 +569,9 @@ class MeanValueReport:
 
     def csv_row(self) -> str:
         frac = self.lower_bound_count / self.n_zeros if self.n_zeros else 0.0
-        cells = [self.t, self.n_zeros, self.sum_a.real, self.sum_a.imag,
-                 self.sum_abs_a2, self.predicted_c.real, self.predicted_c.imag,
-                 self.lower_bound_count, frac]
-        return ",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in cells)
+        return _csv_row([self.t, self.n_zeros, self.sum_a.real, self.sum_a.imag,
+                         self.sum_abs_a2, self.predicted_c.real, self.predicted_c.imag,
+                         self.lower_bound_count, frac])
 
 
 def _audit_stride(audit_rate: float) -> int:

@@ -39,14 +39,13 @@ import math
 
 import numpy as np
 
-from .characters import DirichletCharacter, epsilon_factor
+from .characters import DirichletCharacter, _check_non_principal, epsilon_factor
 from .errors import (
     AccuracyLoss,
     DomainTooSmall,
     OutOfStrip,
     PoleAtNonPositiveInteger,
     PoleAtOne,
-    PrincipalCharacter,
 )
 
 _EPS = 2.220446049250313e-16
@@ -205,9 +204,13 @@ def riemann_siegel_theta(t):
     if np.min(t) < 1.0:
         raise DomainTooSmall(f"theta expansion needs t >= 1, got {np.min(t)}")
     th = 0.5 * t * np.log(t / (2.0 * math.pi)) - 0.5 * t - math.pi / 8.0
-    th += (1.0 / 48.0) / t + (7.0 / 5760.0) / t ** 3
-    th += (31.0 / 80640.0) / t ** 5 + (127.0 / 430080.0) / t ** 7
-    return th
+    return th + _theta_tail(t)
+
+
+def _theta_tail(t):
+    """The t^-1 ... t^-7 terms of theta's expansion, shared with _rs_z_batch."""
+    return (((1.0 / 48.0) / t + (7.0 / 5760.0) / t ** 3)
+            + ((31.0 / 80640.0) / t ** 5 + (127.0 / 430080.0) / t ** 7))
 
 
 def _digamma_real(x: float) -> float:
@@ -436,9 +439,8 @@ def _rs_z_batch(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = np.arange(1.0, float(n_top.max()) + 1.0)
     amp = np.where(n <= n_top[:, None], n ** -0.5, 0.0)
     log_ratio = np.log(tau[:, None] / n)
-    tail = (1.0 / 48.0) / ts + (7.0 / 5760.0) / ts ** 3
-    tail += (31.0 / 80640.0) / ts ** 5 + (127.0 / 430080.0) / ts ** 7
-    phase = ts[:, None] * log_ratio - (0.5 * ts + math.pi / 8.0 - tail)[:, None]
+    phase = (ts[:, None] * log_ratio
+             - (0.5 * ts + math.pi / 8.0 - _theta_tail(ts))[:, None])
     main = 2.0 * np.sum(amp * np.cos(phase), axis=1)
 
     x2 = x * x
@@ -488,12 +490,11 @@ def _hardy_z_batch(ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     use_em = ts < _RS_T_MIN
     rs = np.nonzero(~use_em)[0]
-    if len(rs) == 0:
-        return _hardy_z_em(ts, _Z_BATCH_TOL)
-    z_rs, b_rs = _rs_z_batch(ts[rs])
-    allowed = b_rs + _em_critical_bound(float(ts[-1]))
-    certified = np.abs(z_rs) > allowed
-    if not certified.any():
+    if len(rs):
+        z_rs, b_rs = _rs_z_batch(ts[rs])
+        allowed = b_rs + _em_critical_bound(float(ts[-1]))
+        certified = np.abs(z_rs) > allowed
+    if len(rs) == 0 or not certified.any():
         return _hardy_z_em(ts, _Z_BATCH_TOL)
     use_em[rs[~certified]] = True
     audit = int(np.nonzero(certified)[0][-1])
@@ -520,8 +521,7 @@ def x_factor(s, chi: DirichletCharacter) -> complex:
     s = complex(s)
     if not 0.0 < s.real < 1.0:
         raise OutOfStrip(f"X(s, chi) needs 0 < Re s < 1, got {s.real}")
-    if chi.is_principal:
-        raise PrincipalCharacter("X(s, chi) requires a non-principal character")
+    _check_non_principal(chi)
     q = chi.modulus
     a = chi.parity
     ratio = cmath.exp(log_gamma((1.0 - s + a) / 2.0) - log_gamma((s + a) / 2.0))

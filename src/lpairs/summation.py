@@ -23,22 +23,8 @@ def neumaier_sum(values) -> float:
 
 
 def neumaier_sum_complex(values) -> complex:
-    """Compensated complex sum; real and imaginary parts tracked separately."""
-    tr = cr = ti = ci = 0.0
-    for v in values:
-        x = v.real
-        t = tr + x
-        if abs(tr) >= abs(x):
-            cr += (tr - t) + x
-        else:
-            cr += (x - t) + tr
-        tr = t
-        y = v.imag
-        t = ti + y
-        if abs(ti) >= abs(y):
-            ci += (ti - t) + y
-        else:
-            ci += (y - t) + ti
-        ti = t
-    return complex(tr + cr, ti + ci)
-
+    """Compensated complex sum: neumaier_sum over the real parts, then over
+    the imaginary parts, of any iterable (a generator is read once)."""
+    values = list(values)
+    return complex(neumaier_sum(v.real for v in values),
+                   neumaier_sum(v.imag for v in values))

@@ -140,6 +140,8 @@ def test_config_error_out_of_range_audit_rate(zero_file, command, rate):
     ["thm1", "--oracle-audit", "3"],
     ["thm2", "--oracle-audit", "3"],
     ["thm2", "--method", "fastest"],
+    ["thm1", "--char1", "3:0"],
+    ["thm2", "--char1", "3:0", "--p", "7"],
 ])
 def test_config_error_before_zero_table(tmp_path, monkeypatch, argv):
     # a bad --sigma or --oracle-audit is a configuration error (exit 1)
@@ -153,6 +155,35 @@ def test_config_error_before_zero_table(tmp_path, monkeypatch, argv):
     missing = str(tmp_path / "nowhere.txt")
     assert run(argv + ["--T", "100", "--zeros", missing]) == 1
     assert run(argv + ["--T", "100", "--zeros", "compute"]) == 1
+
+
+@pytest.mark.parametrize("heights", ["1", "100,1", "6.28"])
+def test_thm2_height_checked_before_zero_table(zero_file, tmp_path, heights):
+    # T <= 2 pi used to reach a division by T log^2 T = 0 (T = 1) or a
+    # main term with log(T/2pi) <= 0; it is a configuration error, found
+    # before the zero file is read
+    assert run(["thm2", "--T", heights, "--zeros", zero_file]) == 1
+    assert run(["thm2", "--T", heights, "--zeros", str(tmp_path / "nowhere.txt")]) == 1
+
+
+def test_afe_verify_calls_the_oracle_once_per_point(tmp_path, monkeypatch):
+    # one oracle value per (character, sigma, t), shared by the five Deltas
+    import lpairs.cli
+
+    calls = []
+    oracle = lpairs.cli.l_oracle
+
+    def counting(s, chi):
+        calls.append((s, chi))
+        return oracle(s, chi)
+
+    monkeypatch.setattr(lpairs.cli, "l_oracle", counting)
+    monkeypatch.setattr(lpairs.cli, "AFE_GRID_HEIGHTS", (1e2,))
+    out = tmp_path / "afe.csv"
+    assert run(["afe-verify", "--output", str(out)]) == 0
+    points = 4 * len(lpairs.cli.AFE_GRID_SIGMAS)  # characters 3:1, 5:1, 5:2, 5:3
+    assert len(calls) == len(set(calls)) == points
+    assert len(out.read_text().splitlines()) == 1 + 5 * points
 
 
 def test_seed_check_runs(zero_file, tmp_path):

@@ -13,7 +13,7 @@ from lpairs.criticalline import (
     make_config,
     thm2_report,
 )
-from lpairs.errors import AccuracyLoss, PreconditionError
+from lpairs.errors import AccuracyLoss, OracleAuditFailure, PreconditionError
 from lpairs.lfunc import l_oracle, l_oracle_critical_batch
 from lpairs.primes import is_prime
 from lpairs.summation import neumaier_sum, neumaier_sum_complex
@@ -83,6 +83,13 @@ def test_make_config_defaults(chi3, chi5):
     assert abs(cfg.c1 - 1.0) < 1e-12
     assert abs(cfg.c2 + 1.0) < 1e-12
     assert abs(cfg.c1 - cfg.c2) >= 1e-6
+
+
+def test_make_config_rejects_principal_with_explicit_p(chi5):
+    # with p given, choose_p (and its check) is skipped; a principal chi1
+    # used to pass whenever no zero lay below T
+    with pytest.raises(PreconditionError):
+        make_config(character(3, 0), chi5, p=7)
 
 
 def test_evaluator_matches_standalone_afe(chi3, chi5):
@@ -294,3 +301,27 @@ def test_oracle_pool_empty_table(zeros100, chi3, chi5):
     rep = thm2_report(zeros100, 12.0, make_config(chi3, chi5), method="oracle")
     assert rep.n_zeros == 0
     assert rep.sum_a == 0 and rep.sum_abs_a2 == 0.0 and rep.lower_bound_count == 0.0
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0 * math.pi, math.nan, math.inf])
+def test_report_rejects_heights_without_a_main_term(zeros100, chi3, chi5, t):
+    # the main term (T/2pi) log(T/2pi) needs T > 2 pi, and csv_row divides
+    # by T log^2 T, which is 0 at T = 1
+    with pytest.raises(PreconditionError):
+        thm2_report(zeros100, t, make_config(chi3, chi5))
+
+
+def test_audit_fires_on_a_planted_oracle_defect(zeros100, chi3, chi5, monkeypatch):
+    # chi1's oracle value moved by 1e3 at every height: the first audit
+    # (at gamma_1) raises
+    from lpairs.lfunc import LValue
+
+    def shifted(s, chi):
+        value = l_oracle(s, chi)
+        if chi == chi3:
+            return LValue(value.value + 1e3, value.bound, value.method)
+        return value
+
+    monkeypatch.setattr(cl, "l_oracle", shifted)
+    with pytest.raises(OracleAuditFailure, match="A\\(14.13"):
+        thm2_report(zeros100, 100.0, make_config(chi3, chi5))

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from lpairs.characters import character
-from lpairs.errors import CutoffTooSmall, PreconditionError
+from lpairs.errors import (
+    CutoffTooSmall,
+    OracleAuditFailure,
+    PreconditionError,
+    SeriesProductDisagreement,
+)
 from lpairs.meanvalues import (
     CoefficientSeries,
     RootSum,
@@ -188,6 +193,22 @@ class TestSeriesConstants:
         with pytest.raises(PreconditionError):
             series_d(bpoly, 0.4)
 
+    def test_disagreement_is_surfaced(self, bpoly, monkeypatch):
+        # the product route moved by 1e-6 at sigma = 0.9, past the 9e-9
+        # the two routes' bounds allow; the memo starts empty so both
+        # routes run
+        import lpairs.meanvalues as mv
+        product = mv._product_route
+
+        def shifted(series, sigma):
+            value, bound = product(series, sigma)
+            return value + 1e-6, bound
+
+        monkeypatch.setattr(mv, "_series_memo", {})
+        monkeypatch.setattr(mv, "_product_route", shifted)
+        with pytest.raises(SeriesProductDisagreement):
+            series_d(bpoly, 0.9)
+
 
 class TestStatistic:
     def test_a1_oracle_path_reproducible(self, bpoly):
@@ -288,6 +309,32 @@ class TestReport:
         gammas = zeros1000.up_to(1000.0)
         assert len(gammas) == 649
         assert sorted(audited) == [float(g) for g in gammas[::100]]
+
+    def test_audit_fires_on_a_planted_afe_defect(self, zeros100, chi3, chi5,
+                                                 monkeypatch):
+        # AFE values 100 times too large: the first audit (at gamma_1) raises
+        from lpairs.lfunc import LValue
+        l_values = ThmOneEvaluator.l_values
+
+        def scaled(ev, gamma):
+            return tuple(LValue(lv.value * 100.0, lv.bound, lv.method)
+                         for lv in l_values(ev, gamma))
+
+        monkeypatch.setattr(ThmOneEvaluator, "l_values", scaled)
+        with pytest.raises(OracleAuditFailure, match="A\\(14.13"):
+            thm1_report(zeros100, 100.0, 0.75, chi3, chi5)
+
+    def test_report_rejects_principal_characters(self, zeros100, chi5):
+        # no zero lies below T = 10, so no x_factor call rejects chi1 = 3:0
+        with pytest.raises(PreconditionError):
+            thm1_report(zeros100, 10.0, 0.75, character(3, 0), chi5)
+
+    def test_csv_cells(self):
+        from fractions import Fraction
+
+        from lpairs.meanvalues import _csv_row
+        cells = [1.0, 2, Fraction(15, 2), np.float64(0.1), -0.0]
+        assert _csv_row(cells) == "1.0,2,15/2,0.1,-0.0"
 
     @pytest.mark.parametrize("rate", [3.0, -1.0, math.nan, math.inf])
     def test_report_rejects_out_of_range_audit_rate(self, zeros100, chi3, chi5, rate):

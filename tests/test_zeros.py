@@ -99,6 +99,25 @@ def test_counts(zeros100):
         zeros100.count(200.0)
 
 
+def test_missed_zeros_fail_both_scans(monkeypatch):
+    # a gap audit that drops every other zero leaves the count far outside
+    # the RvM band on the first scan and on the denser rescan
+    from lpairs.errors import MissedZero
+
+    scans = []
+    scan_once = zeros_mod._scan_once
+
+    def recording(t_max, density):
+        scans.append(density)
+        return scan_once(t_max, density)
+
+    monkeypatch.setattr(zeros_mod, "_scan_once", recording)
+    monkeypatch.setattr(zeros_mod, "_gap_audit", lambda gammas, t_max: gammas[::2])
+    with pytest.raises(MissedZero):
+        compute_zeros(100.0)
+    assert scans == [zeros_mod._SCAN_DENSITY, 4.0 * zeros_mod._SCAN_DENSITY]
+
+
 def test_count_monotone(zeros1000):
     ts = np.linspace(15.0, 1000.0, 300)
     counts = [zeros1000.count(float(t)) for t in ts]
