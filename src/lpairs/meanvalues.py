@@ -348,11 +348,16 @@ def _series_route(series: CoefficientSeries, sigma: float,
     a_n is periodic in n with period M = lcm(l, p^2 for p <= P, q P#)
     (q the inner modulus, l the other's, P# the primorial): n mod M fixes
     n mod l, which mollifier primes divide n and square-divide it, and
-    n / (those primes) mod q.  The sieve computes the same floats in the
-    same order for n and n + M, so when M fits in one sieve chunk (M = 900
-    for 3:1, 5:2, P = 5) one period is sieved once and each chunk gathers
-    pattern[n % M].  Larger periods (M = 5,336,100 at P = 11) are sieved
-    chunk by chunk, so memory stays at one chunk for every cutoff.
+    n / (those primes) mod q.  When M fits in one sieve chunk (M = 900 for
+    3:1, 5:2, P = 5) one period is sieved once into pattern, and the full
+    periods are summed over its support, the residues r with a_r != 0
+    (about half of them): n = k M + r, so
+    sum_n a_n n^{-2 sigma} = sum_r a_r sum_k (k M + r)^{-2 sigma}.  Each
+    block of k is one float grid, a row per residue, of at most one chunk;
+    its row sums, dotted with a_r, are the block's partial.  The last,
+    partial period gathers pattern[n % M] chunk by chunk.  Periods beyond
+    one chunk (M > _SIEVE_CHUNK, as M = 5,336,100 at P = 11) are still
+    sieved chunk by chunk, so memory stays at one chunk for every cutoff.
     """
     bpoly = series.bpoly
     inner, other = series.inner, series.other
@@ -391,7 +396,19 @@ def _series_route(series: CoefficientSeries, sigma: float,
     pattern = sieve(np.arange(period, dtype=np.int64)) if period <= _SIEVE_CHUNK else None
 
     partials = []
-    for lo in range(1, n_limit + 1, _SIEVE_CHUNK):
+    start = 1
+    if pattern is not None:
+        support = np.flatnonzero(pattern)  # excludes r = 0: pattern[0] = 0
+        residues, weights = support.astype(float), pattern[support]
+        k_full = n_limit // period
+        k_block = _SIEVE_CHUNK // len(support)  # >= 1, as len(support) < M <= chunk
+        for k_lo in range(0, k_full, k_block):
+            offsets = np.arange(k_lo, min(k_lo + k_block, k_full), dtype=float) * period
+            grid = residues[:, None] + offsets[None, :]
+            grid **= -2.0 * sigma
+            partials.append(grid.sum(axis=1) @ weights)
+        start = max(1, k_full * period)
+    for lo in range(start, n_limit + 1, _SIEVE_CHUNK):
         hi = min(lo + _SIEVE_CHUNK, n_limit + 1)
         n = np.arange(lo, hi, dtype=np.int64)
         acc = pattern[n % period] if pattern is not None else sieve(n)
@@ -431,6 +448,12 @@ def _check_sigma(sigma: float) -> None:
     """Theorem 1's abscissa: 1/2 < sigma < 1 (nan fails the comparison)."""
     if not 0.5 < sigma < 1.0:
         raise PreconditionError(f"need 1/2 < sigma < 1, got {sigma}")
+
+
+def _check_t(t: float) -> None:
+    """thm1's height: 0 <= T < inf (nan fails the comparison)."""
+    if not 0.0 <= t < math.inf:
+        raise PreconditionError(f"thm1 needs 0 <= T < inf, got {t}")
 
 
 def _series_constant(series: CoefficientSeries, sigma: float) -> SeriesConstant:
@@ -617,6 +640,7 @@ def thm1_report(zeros: ZeroTable, t: float, sigma: float,
     a zero count bound), not raised: it signals that every sampled pair
     was linearly dependent.
     """
+    _check_t(t)
     stride = _audit_stride(audit_rate)
     if cutoff is None:
         cutoff = max(chi1.modulus, chi2.modulus)

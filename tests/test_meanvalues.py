@@ -342,6 +342,19 @@ class TestReport:
         with pytest.raises(PreconditionError):
             thm1_report(zeros100, 50.0, 0.75, chi3, chi5, audit_rate=rate)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -5.0])
+    def test_report_rejects_bad_height(self, zeros100, chi3, chi5, t, monkeypatch):
+        # checked before the mollifier or the AFE windows are built; nan
+        # and -5 used to reach int() and math.sqrt in lfunc.AfeWindows
+        import lpairs.meanvalues as mv
+
+        def unreachable(*args):
+            raise AssertionError("built the mollifier before checking T")
+
+        monkeypatch.setattr(mv, "build_b_polynomial", unreachable)
+        with pytest.raises(PreconditionError, match="0 <= T < inf"):
+            thm1_report(zeros100, t, 0.75, chi3, chi5)
+
     def test_report_on_empty_table_reports_zero_bound(self, tmp_path, chi3, chi5):
         # a vacuous zero set yields sum_abs_a2 = 0; the count bound is
         # reported as 0 rather than crashing on the division
@@ -355,25 +368,52 @@ class TestReport:
         assert rep.csv_row().startswith("50.0,0,")
 
 
+def _coefficient(series, n):
+    """a_n = coeff(n) conj(other)(n) from the exact coefficient calculus."""
+    return series.exact(n).to_complex() * series.other(n).conjugate()
+
+
 class TestSeriesRoute:
     """The series route against the exact coefficient calculus.
 
-    Cutoff 5 has coefficient period M = 900 <= N, so the route gathers a_n
-    from one sieved period; cutoff 11 has M = 5,336,100, beyond one sieve
-    chunk, so every chunk is sieved.  A complex chi2 (5:1) checks the
-    imaginary parts as well.
+    Cutoff 5 has coefficient period M = 900 <= N, so the route sums the
+    full periods over the nonzero residues of one sieved period and
+    gathers the last, partial one; cutoff 7 has M = 44,100 > N, so no full
+    period is summed and only the gather loop runs; cutoff 11 has
+    M = 5,336,100, beyond one sieve chunk, so every chunk is sieved.  A
+    complex chi2 (5:1) checks the imaginary parts as well.
     """
 
-    @pytest.mark.parametrize("cutoff", [5, 11])
+    @pytest.mark.parametrize("cutoff", [5, 7, 11])
     @pytest.mark.parametrize("index", [2, 1])
     @pytest.mark.parametrize("kind", ["d", "e"])
     def test_matches_exact_coefficients(self, chi3, cutoff, index, kind):
         from lpairs.meanvalues import _series_route
-        sigma, tol_tail = 0.75, 1e-3  # N = 2,097 at cutoff 5, 5,284 at cutoff 11
+        # N = 2,097 at cutoff 5, 3,329 at cutoff 7, 5,284 at cutoff 11 (5:2)
+        sigma, tol_tail = 0.75, 1e-3
         series = CoefficientSeries(kind, build_b_polynomial(cutoff, chi3, character(5, index)))
         value, bound, n_terms = _series_route(series, sigma, tol_tail)
         assert 900 <= n_terms <= 6000
-        reference = sum(series.exact(n).to_complex() * series.other(n).conjugate()
-                        * n ** (-2.0 * sigma) for n in range(1, n_terms + 1))
+        reference = sum(_coefficient(series, n) * n ** (-2.0 * sigma)
+                        for n in range(1, n_terms + 1))
         assert abs(value - reference) < 1e-12
         assert bound < 1.01 * tol_tail
+
+    @pytest.mark.parametrize("index", [2, 1])
+    @pytest.mark.parametrize("kind", ["d", "e"])
+    def test_period_grid_matches_chunk_sieve(self, chi3, index, kind, monkeypatch):
+        # the same series by both branches: a chunk of 1024 >= M = 900 sums
+        # the period grid, in blocks of 1024 // |support| periods; a chunk
+        # of 512 < M sieves every chunk
+        import lpairs.meanvalues as mv
+        sigma, tol_tail, period = 0.75, 1e-4, 900  # N = 9,732 (5:2), 5,304 (5:1)
+        series = CoefficientSeries(kind, build_b_polynomial(5, chi3, character(5, index)))
+        support = sum(_coefficient(series, r) != 0 for r in range(period))
+        monkeypatch.setattr(mv, "_SIEVE_CHUNK", 1024)
+        grid = mv._series_route(series, sigma, tol_tail)
+        monkeypatch.setattr(mv, "_SIEVE_CHUNK", 512)
+        sieved = mv._series_route(series, sigma, tol_tail)
+        n_terms = grid[2]
+        assert n_terms % period and n_terms // period > 1024 // support
+        assert grid[1:] == sieved[1:]
+        assert abs(grid[0] - sieved[0]) < 1e-13
