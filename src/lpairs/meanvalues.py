@@ -29,7 +29,7 @@ The nonvanishing count bound is Cauchy-Schwarz:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -244,7 +244,6 @@ class CoefficientSeries:
 
     kind: str
     bpoly: BPolynomial
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("d", "e"):
@@ -282,15 +281,11 @@ class CoefficientSeries:
 
     def exact(self, n: int) -> RootSum:
         """Coefficient with the convolution/closed-form cross-check."""
-        cached = self._cache.get(n)
-        if cached is not None:
-            return cached
         conv = self.convolution(n)
         closed = self.closed_form(n)
         if conv != closed:
             raise ClosedFormMismatch(
                 f"{self.kind}_{n}: convolution {conv!r} != closed form {closed!r}")
-        self._cache[n] = conv
         return conv
 
     def coeff(self, n: int) -> complex:
@@ -317,8 +312,6 @@ class CoefficientSeries:
 class SeriesConstant:
     """Dual evaluation of D (or E) with certified bounds on both routes."""
 
-    value: complex           # value and bound are always the product route's
-    bound: float
     series_value: complex
     series_bound: float
     product_value: complex
@@ -348,16 +341,17 @@ def _series_route(series: CoefficientSeries, sigma: float,
     a_n is periodic in n with period M = lcm(l, p^2 for p <= P, q P#)
     (q the inner modulus, l the other's, P# the primorial): n mod M fixes
     n mod l, which mollifier primes divide n and square-divide it, and
-    n / (those primes) mod q.  When M fits in one sieve chunk (M = 900 for
-    3:1, 5:2, P = 5) one period is sieved once into pattern, and the full
-    periods are summed over its support, the residues r with a_r != 0
-    (about half of them): n = k M + r, so
-    sum_n a_n n^{-2 sigma} = sum_r a_r sum_k (k M + r)^{-2 sigma}.  Each
-    block of k is one float grid, a row per residue, of at most one chunk;
-    its row sums, dotted with a_r, are the block's partial.  The last,
-    partial period gathers pattern[n % M] chunk by chunk.  Periods beyond
-    one chunk (M > _SIEVE_CHUNK, as M = 5,336,100 at P = 11) are still
-    sieved chunk by chunk, so memory stays at one chunk for every cutoff.
+    n / (those primes) mod q.  So with n = k M + r,
+    sum_n a_n n^{-2 sigma} = sum_r a_r sum_k (k M + r)^{-2 sigma}, and only
+    the residues r with a_r != 0 (about half of them; a_0 = 0) are summed.
+    The residues 1 <= r <= min(M - 1, N) are sieved one chunk at a time;
+    the chunk's support is summed over every period k in blocks, each one
+    float grid, a row per residue, of at most one chunk, whose row sums
+    are dotted with a_r.  Only the last period can pass N (r - r_lo < M),
+    and its entries beyond N become +inf, so their power is 0.  A chunk's
+    sieve and grid are freed before the next chunk is sieved, so memory
+    stays at one chunk for every period (M = 900 for 3:1, 5:2, P = 5;
+    5,336,100 at P = 11).
     """
     bpoly = series.bpoly
     inner, other = series.inner, series.other
@@ -393,27 +387,25 @@ def _series_route(series: CoefficientSeries, sigma: float,
 
     period = math.lcm(mod_other, mod_inner * math.prod(bpoly.primes),
                       *(p * p for p in bpoly.primes))
-    pattern = sieve(np.arange(period, dtype=np.int64)) if period <= _SIEVE_CHUNK else None
+    r_max = min(period - 1, n_limit)
 
     partials = []
-    start = 1
-    if pattern is not None:
-        support = np.flatnonzero(pattern)  # excludes r = 0: pattern[0] = 0
-        residues, weights = support.astype(float), pattern[support]
-        k_full = n_limit // period
-        k_block = _SIEVE_CHUNK // len(support)  # >= 1, as len(support) < M <= chunk
-        for k_lo in range(0, k_full, k_block):
-            offsets = np.arange(k_lo, min(k_lo + k_block, k_full), dtype=float) * period
-            grid = residues[:, None] + offsets[None, :]
+    for r_lo in range(1, r_max + 1, _SIEVE_CHUNK):
+        residues = np.arange(r_lo, min(r_lo + _SIEVE_CHUNK, r_max + 1), dtype=np.int64)
+        weights = sieve(residues)
+        support = np.flatnonzero(weights)
+        residues, weights = residues[support].astype(float), weights[support]
+        k_last = (n_limit - r_lo) // period
+        k_block = _SIEVE_CHUNK // len(residues)  # >= 1, as 0 < |support| <= chunk
+        for k_lo in range(0, k_last + 1, k_block):
+            k_hi = min(k_lo + k_block, k_last + 1)
+            grid = residues[:, None] + np.arange(k_lo, k_hi, dtype=float)[None, :] * period
+            if k_hi > k_last:
+                last = grid[:, -1]
+                last[last > n_limit] = np.inf
             grid **= -2.0 * sigma
             partials.append(grid.sum(axis=1) @ weights)
-        start = max(1, k_full * period)
-    for lo in range(start, n_limit + 1, _SIEVE_CHUNK):
-        hi = min(lo + _SIEVE_CHUNK, n_limit + 1)
-        n = np.arange(lo, hi, dtype=np.int64)
-        acc = pattern[n % period] if pattern is not None else sieve(n)
-        acc *= n.astype(float) ** (-2.0 * sigma)
-        partials.append(np.sum(acc))
+        del residues, weights, support, grid  # before the next chunk is sieved
     value = neumaier_sum_complex(partials)
     tail = structural * (n_limit + 1.0) ** (-2.0 * sigma)
     return value, tail + 1e-12, n_limit
@@ -470,8 +462,7 @@ def _series_constant(series: CoefficientSeries, sigma: float) -> SeriesConstant:
         raise SeriesProductDisagreement(
             f"{series.kind}-series {s_val} vs Euler product {p_val}: "
             f"|diff| = {abs(s_val - p_val):.3e} > {s_bound + p_bound:.3e}")
-    out = SeriesConstant(value=p_val, bound=p_bound,
-                         series_value=s_val, series_bound=s_bound,
+    out = SeriesConstant(series_value=s_val, series_bound=s_bound,
                          product_value=p_val, product_bound=p_bound,
                          n_terms=n_terms)
     _series_memo[key] = out
@@ -490,7 +481,7 @@ def series_e(bpoly: BPolynomial, sigma: float) -> SeriesConstant:
 
 def predicted_constant(bpoly: BPolynomial, sigma: float) -> complex:
     """C = D - E, the limit of sum A(gamma) / N(T)."""
-    return series_d(bpoly, sigma).value - series_e(bpoly, sigma).value
+    return series_d(bpoly, sigma).product_value - series_e(bpoly, sigma).product_value
 
 
 # --- the statistic A(gamma) and its mean ---------------------------------------

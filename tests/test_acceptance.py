@@ -142,7 +142,7 @@ def test_criterion_6_limit_constants(chi3, chi5):
     for sigma in (0.6, 0.75, 0.9):
         for const in (series_d(bpoly, sigma), series_e(bpoly, sigma)):
             worst = max(worst, abs(const.series_value - const.product_value))
-    diff = abs(series_d(bpoly, 0.75).value - series_e(bpoly, 0.75).value)
+    diff = abs(series_d(bpoly, 0.75).product_value - series_e(bpoly, 0.75).product_value)
     ok = worst <= 1e-8 and diff > 1e-6
     _report(6, ok, f"worst dual-route gap {worst:.2e}, |D-E| = {diff:.4f}", started)
 

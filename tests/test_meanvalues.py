@@ -173,14 +173,14 @@ class TestSeriesConstants:
     def test_dual_agreement_at_point_75(self, bpoly):
         d = series_d(bpoly, 0.75)
         assert abs(d.series_value - d.product_value) <= 1e-8
-        assert d.bound < 1e-9
+        assert d.product_bound < 1e-9
 
     def test_real_pair_structure(self, bpoly):
         # with two real characters both constants are real and related by
         # swapping which modulus is excluded from the finite product
         sigma = 0.75
-        d = series_d(bpoly, sigma).value
-        e = series_e(bpoly, sigma).value
+        d = series_d(bpoly, sigma).product_value
+        e = series_e(bpoly, sigma).product_value
         assert abs(d.imag) < 1e-9 and abs(e.imag) < 1e-9
         ratio = (1.0 - 5.0 ** -(2 * sigma)) / (1.0 - 3.0 ** -(2 * sigma))
         assert abs(e.real / d.real - ratio) < 1e-8
@@ -376,12 +376,13 @@ def _coefficient(series, n):
 class TestSeriesRoute:
     """The series route against the exact coefficient calculus.
 
-    Cutoff 5 has coefficient period M = 900 <= N, so the route sums the
-    full periods over the nonzero residues of one sieved period and
-    gathers the last, partial one; cutoff 7 has M = 44,100 > N, so no full
-    period is summed and only the gather loop runs; cutoff 11 has
-    M = 5,336,100, beyond one sieve chunk, so every chunk is sieved.  A
-    complex chi2 (5:1) checks the imaginary parts as well.
+    The route sieves the residues of one coefficient period M chunk by
+    chunk and sums each chunk's nonzero residues over every period up to
+    N, masking the terms of the last period beyond N.  Cutoff 5 has
+    M = 900 <= N, so the last period is partial and masked; cutoff 7
+    (M = 44,100) and cutoff 11 (M = 5,336,100) have N < M, so only the
+    residues up to N are sieved and summed.  A complex chi2 (5:1) checks
+    the imaginary parts as well.
     """
 
     @pytest.mark.parametrize("cutoff", [5, 7, 11])
@@ -399,21 +400,25 @@ class TestSeriesRoute:
         assert abs(value - reference) < 1e-12
         assert bound < 1.01 * tol_tail
 
+    @pytest.mark.parametrize("cutoff", [5, 7])
     @pytest.mark.parametrize("index", [2, 1])
     @pytest.mark.parametrize("kind", ["d", "e"])
-    def test_period_grid_matches_chunk_sieve(self, chi3, index, kind, monkeypatch):
-        # the same series by both branches: a chunk of 1024 >= M = 900 sums
-        # the period grid, in blocks of 1024 // |support| periods; a chunk
-        # of 512 < M sieves every chunk
+    def test_chunk_invariance(self, chi3, cutoff, index, kind, monkeypatch):
+        # the same series with the residues sieved in chunks of 512 and 1024
+        # and in the default chunk: at cutoff 5 a chunk of 512 < M splits the
+        # residues in two and 1024 >= M sums them in blocks of 2 periods; at
+        # cutoff 7 (N > M) both split them into chunks whose last period is
+        # k = 1 below r = N - M and k = 0 above it
         import lpairs.meanvalues as mv
-        sigma, tol_tail, period = 0.75, 1e-4, 900  # N = 9,732 (5:2), 5,304 (5:1)
-        series = CoefficientSeries(kind, build_b_polynomial(5, chi3, character(5, index)))
-        support = sum(_coefficient(series, r) != 0 for r in range(period))
-        monkeypatch.setattr(mv, "_SIEVE_CHUNK", 1024)
-        grid = mv._series_route(series, sigma, tol_tail)
-        monkeypatch.setattr(mv, "_SIEVE_CHUNK", 512)
-        sieved = mv._series_route(series, sigma, tol_tail)
-        n_terms = grid[2]
-        assert n_terms % period and n_terms // period > 1024 // support
-        assert grid[1:] == sieved[1:]
-        assert abs(grid[0] - sieved[0]) < 1e-13
+        # N = 9,732 (5:2), 5,304 (5:1) at cutoff 5; 71,703, 55,821 at cutoff 7
+        sigma = 0.75
+        tol_tail, period = {5: (1e-4, 900), 7: (1e-5, 44_100)}[cutoff]
+        series = CoefficientSeries(kind, build_b_polynomial(cutoff, chi3, character(5, index)))
+        default = mv._series_route(series, sigma, tol_tail)
+        n_terms = default[2]
+        assert n_terms > period and n_terms % period
+        for chunk in (512, 1024):
+            monkeypatch.setattr(mv, "_SIEVE_CHUNK", chunk)
+            chunked = mv._series_route(series, sigma, tol_tail)
+            assert chunked[1:] == default[1:]
+            assert abs(chunked[0] - default[0]) < 1e-13
