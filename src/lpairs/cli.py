@@ -30,8 +30,8 @@ from .meanvalues import (
     _audit_stride,
     _check_sigma,
     _csv_row,
-    build_b_polynomial,
-    thm1_report,
+    _mollifier,
+    _thm1_sweep,
 )
 from .specfun import hardy_z, zeta_em
 from .zeros import compute_zeros, load_zeros
@@ -129,25 +129,22 @@ def _cmd_afe_verify(args) -> None:
         raise NumericsError(f"AFE bound breached: worst ratio {worst:.3e} > 1")
 
 
-def _write_sweep(args, header: str, report) -> None:
-    """One CSV row of report(table, t) per swept height T."""
+def _write_sweep(args, header: str, reports) -> None:
+    """One CSV row per swept height T: reports(table) in sweep order."""
     table = _resolve_zeros(args.zeros, max(args.t_values))
-    _write_lines(args.output, [header] + [report(table, t).csv_row()
-                                          for t in args.t_values])
+    _write_lines(args.output, [header] + [r.csv_row() for r in reports(table)])
 
 
 def _cmd_thm1(args) -> None:
     chi1 = parse_character(args.char1)
     chi2 = parse_character(args.char2)
     _check_non_principal(chi1, chi2)
-    cutoff = None if args.cutoff == "auto" else int(args.cutoff)
     # validate before the zero table is loaded or computed
-    if cutoff is not None:
-        build_b_polynomial(cutoff, chi1, chi2)
+    bpoly = _mollifier(chi1, chi2, None if args.cutoff == "auto" else int(args.cutoff))
     _check_sigma(args.sigma)
     _audit_stride(args.audit_rate)
-    _write_sweep(args, MeanValueReport.CSV_HEADER, lambda table, t: thm1_report(
-        table, t, args.sigma, chi1, chi2, cutoff=cutoff, audit_rate=args.audit_rate))
+    _write_sweep(args, MeanValueReport.CSV_HEADER, lambda table: _thm1_sweep(
+        table, args.t_values, args.sigma, bpoly, args.audit_rate))
 
 
 def _cmd_thm2(args) -> None:
@@ -158,8 +155,9 @@ def _cmd_thm2(args) -> None:
     _audit_stride(args.audit_rate)  # validate before the zero table is loaded
     for t in args.t_values:
         _check_height(t)
-    _write_sweep(args, ThmTwoReport.CSV_HEADER, lambda table, t: thm2_report(
-        table, t, cfg, audit_rate=args.audit_rate, method=args.method))
+    _write_sweep(args, ThmTwoReport.CSV_HEADER, lambda table: [thm2_report(
+        table, t, cfg, audit_rate=args.audit_rate, method=args.method)
+        for t in args.t_values])
     print(f"thm2: p = {cfg.p}, C1 = {cfg.c1:.6f}, C2 = {cfg.c2:.6f}",
           file=sys.stderr)
 

@@ -152,13 +152,12 @@ class ThmTwoEvaluator:
         return self._win1.value(gamma), self._win2.value(gamma)
 
     def audit(self, gamma: float) -> None:
-        lv1, lv2 = self.l_values(gamma)
-        s = complex(0.5, gamma)
-        o1 = l_oracle(s, self.cfg.chi1)
-        o2 = l_oracle(s, self.cfg.chi2)
-        tol = self._amp_p * (lv1.bound + lv2.bound + o1.bound + o2.bound) + 1e-9
+        """Each character on its own: a defect both oracles share cancels in o1 - o2."""
         b = self.b_value(gamma)
-        _check_audit(gamma, b * (lv1.value - lv2.value), b * (o1.value - o2.value), tol)
+        for lv, chi in zip(self.l_values(gamma), (self.cfg.chi1, self.cfg.chi2)):
+            o = l_oracle(complex(0.5, gamma), chi)
+            _check_audit(gamma, b * lv.value, b * o.value,
+                         self._amp_p * (lv.bound + o.bound) + 1e-9)
 
 
 @dataclass(frozen=True)

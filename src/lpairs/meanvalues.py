@@ -319,9 +319,6 @@ class SeriesConstant:
     n_terms: int
 
 
-_series_memo: dict = {}
-
-
 def _twist_table(chi_a: DirichletCharacter, chi_b: DirichletCharacter) -> np.ndarray:
     """Value table of chi_a * conj(chi_b) mod q*l (length q*l)."""
     m = chi_a.modulus * chi_b.modulus
@@ -442,31 +439,17 @@ def _check_sigma(sigma: float) -> None:
         raise PreconditionError(f"need 1/2 < sigma < 1, got {sigma}")
 
 
-def _check_t(t: float) -> None:
-    """thm1's height: 0 <= T < inf (nan fails the comparison)."""
-    if not 0.0 <= t < math.inf:
-        raise PreconditionError(f"thm1 needs 0 <= T < inf, got {t}")
-
-
 def _series_constant(series: CoefficientSeries, sigma: float) -> SeriesConstant:
     _check_sigma(sigma)
-    bp = series.bpoly
-    key = (series.kind, bp.chi1.modulus, bp.chi1.index, bp.chi2.modulus,
-           bp.chi2.index, bp.cutoff, round(sigma, 12))
-    hit = _series_memo.get(key)
-    if hit is not None:
-        return hit
     s_val, s_bound, n_terms = _series_route(series, sigma, _SERIES_TAIL_TOL)
     p_val, p_bound = _product_route(series, sigma)
     if abs(s_val - p_val) > s_bound + p_bound:
         raise SeriesProductDisagreement(
             f"{series.kind}-series {s_val} vs Euler product {p_val}: "
             f"|diff| = {abs(s_val - p_val):.3e} > {s_bound + p_bound:.3e}")
-    out = SeriesConstant(series_value=s_val, series_bound=s_bound,
-                         product_value=p_val, product_bound=p_bound,
-                         n_terms=n_terms)
-    _series_memo[key] = out
-    return out
+    return SeriesConstant(series_value=s_val, series_bound=s_bound,
+                          product_value=p_val, product_bound=p_bound,
+                          n_terms=n_terms)
 
 
 def series_d(bpoly: BPolynomial, sigma: float) -> SeriesConstant:
@@ -548,12 +531,15 @@ class ThmOneEvaluator:
         return _statistic(self.b_value(gamma), l1, l2)
 
     def audit(self, gamma: float) -> None:
-        """Re-evaluate through the oracle; abort if beyond combined bounds."""
+        """Re-evaluate through the oracle; abort if beyond combined bounds.
+        With |L_j - O_j| <= e_j, e1 e2 + min(e1 |L2| + |L1| e2, e1 |O2| + |O1| e2)
+        bounds |L1 conj L2 - O1 conj O2|: no defect widens its own tolerance."""
         lv1, lv2 = self.l_values(gamma)
         o1 = l_oracle(complex(self.sigma, gamma), self.chi1)
         o2 = l_oracle(complex(self.sigma, gamma), self.chi2)
-        pair_err = (lv1.bound * (abs(o2.value) + lv2.bound)
-                    + abs(o1.value) * lv2.bound + o1.bound + o2.bound)
+        e1, e2 = lv1.bound + o1.bound, lv2.bound + o2.bound
+        pair_err = e1 * e2 + min(e1 * abs(lv2.value) + abs(lv1.value) * e2,
+                                 e1 * abs(o2.value) + abs(o1.value) * e2)
         b = self.b_value(gamma)
         _check_audit(gamma, _statistic(b, lv1.value, lv2.value),
                      self.a_value_oracle(gamma), 2.0 * abs(b) * pair_err + 1e-9)
@@ -619,6 +605,34 @@ def _cauchy_schwarz(a_values: np.ndarray) -> tuple[complex, float, float]:
     return sum_a, sum_abs2, lower
 
 
+def _mollifier(chi1: DirichletCharacter, chi2: DirichletCharacter,
+               cutoff: int | None) -> BPolynomial:
+    """B(s, P) at cutoff P; None means max(q, l), as in thm1_report."""
+    if cutoff is None:
+        cutoff = max(chi1.modulus, chi2.modulus)
+    return build_b_polynomial(cutoff, chi1, chi2)
+
+
+def _thm1_sweep(zeros: ZeroTable, ts, sigma: float, bpoly: BPolynomial,
+                audit_rate: float) -> list[MeanValueReport]:
+    """One report per height in ts, in order, from one audited pass to
+    max(ts) with one evaluator and one D, E.  A(gamma) does not depend on
+    the height the windows are tabulated to, so the report at T is the
+    prefix up to N(T) of that pass, bit for bit."""
+    stride = _audit_stride(audit_rate)
+    gammas = zeros.up_to(max(ts))
+    evaluator = ThmOneEvaluator(bpoly, sigma, max(ts))
+    a_values = _audited_rows(evaluator.a_value, evaluator.audit, gammas, stride,
+                             np.empty(len(gammas), dtype=complex))
+    predicted_c = predicted_constant(bpoly, sigma)
+    reports = []
+    for t in ts:
+        n = zeros.count(t)
+        sum_a, sum_abs2, lower = _cauchy_schwarz(a_values[:n])
+        reports.append(MeanValueReport(t, n, sum_a, sum_abs2, predicted_c, lower, sigma))
+    return reports
+
+
 def thm1_report(zeros: ZeroTable, t: float, sigma: float,
                 chi1: DirichletCharacter, chi2: DirichletCharacter,
                 cutoff: int | None = None, audit_rate: float = 0.01) -> MeanValueReport:
@@ -631,17 +645,6 @@ def thm1_report(zeros: ZeroTable, t: float, sigma: float,
     a zero count bound), not raised: it signals that every sampled pair
     was linearly dependent.
     """
-    _check_t(t)
-    stride = _audit_stride(audit_rate)
-    if cutoff is None:
-        cutoff = max(chi1.modulus, chi2.modulus)
-    bpoly = build_b_polynomial(cutoff, chi1, chi2)
-    gammas = zeros.up_to(t)
-    evaluator = ThmOneEvaluator(bpoly, sigma, t)
-    a_values = _audited_rows(evaluator.a_value, evaluator.audit, gammas, stride,
-                             np.empty(len(gammas), dtype=complex))
-    sum_a, sum_abs2, lower = _cauchy_schwarz(a_values)
-    return MeanValueReport(
-        t=t, n_zeros=len(gammas), sum_a=sum_a, sum_abs_a2=sum_abs2,
-        predicted_c=predicted_constant(bpoly, sigma),
-        lower_bound_count=lower, sigma=sigma)
+    if not 0.0 <= t < math.inf:  # checked before the mollifier; nan fails
+        raise PreconditionError(f"thm1 needs 0 <= T < inf, got {t}")
+    return _thm1_sweep(zeros, [t], sigma, _mollifier(chi1, chi2, cutoff), audit_rate)[0]

@@ -99,6 +99,40 @@ def test_thm1_t_sweep_rows(zero_file, tmp_path):
     assert len(lines) == 3  # header + two rows
 
 
+def test_thm1_sweep_rows_equal_separate_runs(zero_file, tmp_path):
+    # the sweep is one pass to max(T); each row is byte-equal to the row of
+    # a run at that height alone, in the order the heights were given
+    def lines(t_values):
+        out = tmp_path / f"thm1_{t_values}.csv"
+        assert run(["thm1", "--T", t_values, "--char1", "3:1", "--char2", "5:2",
+                    "--zeros", zero_file, "--output", str(out)]) == 0
+        return out.read_bytes().splitlines()
+
+    header, row100, row50 = lines("100,50")
+    assert lines("100") == [header, row100]
+    assert lines("50") == [header, row50]
+
+
+def test_thm1_sweep_sums_each_constant_once_per_run(zero_file, tmp_path, monkeypatch):
+    # D and E are summed once per sweep, whatever its number of heights,
+    # and again by the next run: no cache lets a run skip the certificate
+    import lpairs.meanvalues as mv
+    kinds = []
+    series_route = mv._series_route
+
+    def counting(series, sigma, tol_tail):
+        kinds.append(series.kind)
+        return series_route(series, sigma, tol_tail)
+
+    monkeypatch.setattr(mv, "_series_route", counting)
+    argv = ["thm1", "--T", "30,60,100", "--sigma", "0.9", "--char1", "3:1",
+            "--char2", "5:2", "--zeros", zero_file, "--output", str(tmp_path / "s.csv")]
+    assert run(argv) == 0
+    assert kinds == ["d", "e"]
+    assert run(argv) == 0
+    assert kinds == ["d", "e", "d", "e"]
+
+
 def test_thm2_command(zero_file, tmp_path):
     out = tmp_path / "thm2.csv"
     assert run(["thm2", "--T", "100", "--char1", "3:1", "--char2", "5:2",

@@ -325,3 +325,19 @@ def test_audit_fires_on_a_planted_oracle_defect(zeros100, chi3, chi5, monkeypatc
     monkeypatch.setattr(cl, "l_oracle", shifted)
     with pytest.raises(OracleAuditFailure, match="A\\(14.13"):
         thm2_report(zeros100, 100.0, make_config(chi3, chi5))
+
+
+def test_audit_fires_on_an_oracle_defect_both_characters_share(zeros100, chi3, chi5,
+                                                               monkeypatch):
+    # both oracle values moved by 1e3 at every height: the shift cancels in
+    # the difference L1 - L2, so each character is audited on its own, and
+    # the first audit (at gamma_1) raises
+    from lpairs.lfunc import LValue
+
+    def shifted(s, chi):
+        value = l_oracle(s, chi)
+        return LValue(value.value + 1e3, value.bound, value.method)
+
+    monkeypatch.setattr(cl, "l_oracle", shifted)
+    with pytest.raises(OracleAuditFailure, match="A\\(14.13"):
+        thm2_report(zeros100, 100.0, make_config(chi3, chi5))

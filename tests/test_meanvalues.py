@@ -195,16 +195,16 @@ class TestSeriesConstants:
 
     def test_disagreement_is_surfaced(self, bpoly, monkeypatch):
         # the product route moved by 1e-6 at sigma = 0.9, past the 9e-9
-        # the two routes' bounds allow; the memo starts empty so both
-        # routes run
+        # the two routes' bounds allow; a first honest call with the same
+        # arguments must not let the second skip the certificate
         import lpairs.meanvalues as mv
         product = mv._product_route
+        series_d(bpoly, 0.9)
 
         def shifted(series, sigma):
             value, bound = product(series, sigma)
             return value + 1e-6, bound
 
-        monkeypatch.setattr(mv, "_series_memo", {})
         monkeypatch.setattr(mv, "_product_route", shifted)
         with pytest.raises(SeriesProductDisagreement):
             series_d(bpoly, 0.9)
@@ -323,6 +323,25 @@ class TestReport:
         monkeypatch.setattr(ThmOneEvaluator, "l_values", scaled)
         with pytest.raises(OracleAuditFailure, match="A\\(14.13"):
             thm1_report(zeros100, 100.0, 0.75, chi3, chi5)
+
+    def test_audit_fires_on_a_planted_oracle_defect(self, zeros100, chi3, chi5,
+                                                    monkeypatch):
+        # chi1's oracle value moved by 1e4 at every height: the first audit
+        # (at gamma_1) raises; a tolerance taken from the oracle values
+        # alone would grow with the defect and stay silent
+        import lpairs.meanvalues as mv
+        from lpairs.lfunc import LValue
+        l_oracle = mv.l_oracle
+
+        def shifted(s, chi):
+            value = l_oracle(s, chi)
+            if chi == chi3:
+                return LValue(value.value + 1e4, value.bound, value.method)
+            return value
+
+        monkeypatch.setattr(mv, "l_oracle", shifted)
+        with pytest.raises(OracleAuditFailure, match="A\\(14.13"):
+            thm1_report(zeros100, 100.0, 0.75, chi3, chi5, audit_rate=1.0)
 
     def test_report_rejects_principal_characters(self, zeros100, chi5):
         # no zero lies below T = 10, so no x_factor call rejects chi1 = 3:0
