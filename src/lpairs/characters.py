@@ -144,8 +144,10 @@ def gauss_sum(k: int, chi: DirichletCharacter) -> complex:
     return sum(chi(a) * cmath.exp(2j * math.pi * a * k / q) for a in range(1, q))
 
 
+@lru_cache(maxsize=None)
 def epsilon_factor(chi: DirichletCharacter) -> complex:
-    """Root number eps(chi) = G(1, chi) / (i^a sqrt(q)), |eps| = 1.
+    """Root number eps(chi) = G(1, chi) / (i^a sqrt(q)), |eps| = 1; formed
+    once per character, since x_factor takes it at every AFE height.
 
     This is the normalisation under which L(s, chi) = X(s, chi) L(1-s, conj chi)
     holds with X(s, chi) = eps(chi) (q/pi)^(1/2-s) Gamma((1-s+a)/2)/Gamma((s+a)/2);

@@ -60,12 +60,16 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def _parse_t_list(text: str) -> list[float]:
+    """--T's type: argparse prints an ArgumentTypeError's own message (any
+    other error becomes "invalid _parse_t_list value"), and run exits 1."""
     try:
         values = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise PreconditionError(f"--T expects a number or comma list, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected a number or a comma list, got {text!r}")
     if not values or not all(0 < v < math.inf for v in values):
-        raise PreconditionError(f"--T values must be positive and finite, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"values must be positive and finite, got {text!r}")
     return values
 
 

@@ -32,9 +32,11 @@ device; the workbench verifies the consequences by direct zero sums.
 Zeros are sampled at numerically computed ordinates, which lie on the
 critical line at desk heights, so rho = 1/2 + i gamma throughout.
 
-thm2_report is thm1_report with another statistic: the L-values at each
-zero are lfunc.AfeWindows.value; the zero loop, the audit verdict and the
-reducer are meanvalues._audited_rows, _check_audit and _cauchy_schwarz.
+thm2_report is thm1_report with another statistic: the L-values at the
+zeros are lfunc.AfeWindows.values, taken one group of equal window
+lengths at a time (ThmTwoEvaluator.rows); the zero loop, the audit
+verdict and the reducer are meanvalues._audited_rows, _check_audit and
+_cauchy_schwarz.
 method "oracle" replaces the loop by l_oracle_critical_batch over blocks
 of _EVAL_CHUNK heights, one task per block and character, run on one
 thread per CPU.  The per-zero values land in one preallocated array in
@@ -52,7 +54,7 @@ import numpy as np
 
 from .characters import DirichletCharacter, _check_non_principal, gauss_sum
 from .errors import PreconditionError, SearchExhausted
-from .lfunc import AfeWindows, LValue, l_oracle, l_oracle_critical_batch
+from .lfunc import AfeWindows, LValue, afe_groups, l_oracle, l_oracle_critical_batch
 from .meanvalues import (_audit_stride, _audited_rows, _cauchy_schwarz, _check_audit,
                          _csv_row)
 from .primes import is_prime
@@ -151,6 +153,17 @@ class ThmTwoEvaluator:
     def l_values(self, gamma: float) -> tuple[LValue, LValue]:
         return self._win1.value(gamma), self._win2.value(gamma)
 
+    def rows(self, gammas: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out[i] = (B L1, B L2) at gammas[i], bit for bit the one-height
+        values, filled one group of equal window lengths at a time and
+        returned."""
+        for lo, hi in afe_groups(gammas, self._win1, self._win2):
+            ts = gammas[lo:hi]
+            out[lo:hi] = [(b * l1, b * l2) for b, l1, l2 in zip(
+                map(self.b_value, ts.tolist()), self._win1.values(ts),
+                self._win2.values(ts))]
+        return out
+
     def audit(self, gamma: float) -> None:
         """Each character on its own: a defect both oracles share cancels in o1 - o2."""
         b = self.b_value(gamma)
@@ -213,12 +226,6 @@ def thm2_report(zeros: ZeroTable, t: float, cfg: CriticalLineConfig,
     stride = _audit_stride(audit_rate)
     gammas = zeros.up_to(t)
     evaluator = ThmTwoEvaluator(cfg, t)
-
-    def afe_row(g):
-        lv1, lv2 = evaluator.l_values(g)
-        b = evaluator.b_value(g)
-        return b * lv1.value, b * lv2.value
-
     rows = np.empty((len(gammas), 2), dtype=complex)
     if method == "oracle":
         # imported here: at module level it costs every workload start-up
@@ -241,7 +248,7 @@ def thm2_report(zeros: ZeroTable, t: float, cfg: CriticalLineConfig,
                     b = evaluator.b_value(float(gammas[i]))
                     rows[i] = b * complex(l1), b * complex(l2)
     else:
-        _audited_rows(afe_row, evaluator.audit, gammas, stride, rows)
+        _audited_rows(evaluator.rows, evaluator.audit, gammas, stride, rows)
     s1 = neumaier_sum_complex(rows[:, 0].tolist())
     s2 = neumaier_sum_complex(rows[:, 1].tolist())
     sum_a, sum_abs2, lower = _cauchy_schwarz(rows[:, 0] - rows[:, 1])

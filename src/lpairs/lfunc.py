@@ -13,12 +13,16 @@ carries a large margin).  Boundary terms with n = x integral are
 included in the first window; both windows use the same convention.
 Any real Delta >= 1 is accepted.
 
-The AFE value has one implementation, AfeWindows.value(t): a table of
+The AFE value has one implementation, AfeWindows.values(ts): a table of
 chi(n) n^{-sigma}, conj chi(m) m^{sigma-1} and log n for one character,
-sigma, Delta and t_max gives both window sums; the value is the first
-plus X(s, chi) times the second, with the remainder bound.  l_afe builds
-the table for its single height; the thm1 and thm2 evaluators build it
-once for every height up to T.
+sigma, Delta and t_max gives both window sums at a batch of heights, by
+groups of equal window lengths (afe_groups): each group forms one phase
+matrix and takes its row sums, the same bits as each height summed
+alone.  The value is the first sum plus X(s, chi) times the second, one
+x_factor call and one Python complex sum per height.  AfeWindows.value(t)
+is values on one height with the remainder bound; l_afe builds the
+table for its single height; the thm1 and thm2 evaluators build it once
+for every height up to T and take their tables of zeros group by group.
 
 l_oracle is the slow independent evaluator through Hurwitz zeta:
 L(s, chi) = q^{-s} sum_{a=1}^{q} chi(a) zeta(s, a/q), certified to 1e-9.
@@ -48,13 +52,18 @@ from .errors import (
     HeightExceeded,
     OutOfStrip,
 )
-from .specfun import _digamma_real, _hurwitz_critical_batch, _hurwitz_terms, x_factor
+from .specfun import (_backlund_orders, _digamma_real, _hurwitz_critical_batch,
+                      _hurwitz_terms, x_factor)
 # perfbench/spans.py wraps hurwitz_zeta_certified by this module's attribute
 from .specfun import hurwitz_zeta_certified
 
 AFE_REMAINDER_CONSTANT = 10.0
 ORACLE_TOL = 1e-11  # Euler-Maclaurin truncation tolerance per Hurwitz term
 _AFE_MIN_HEIGHT = 10.0  # below this the Stirling-regime bound degrades
+# heights per AFE group at most: a group's phase matrix and its products
+# then stay near 100 kB at the window lengths of thm2 at T = 1e4, where
+# runs of equal lengths reach 259 heights (1.1 MB of temporaries)
+_GROUP_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -80,9 +89,13 @@ class AfeWindows:
     """The two AFE window sums of one character at s = sigma + i t.
 
     Tabulates chi(n) n^{-sigma}, conj chi(m) m^{sigma-1} and log n out to
-    the first window at t_max; each height then costs one phase array
-    e^{-i t log n}, and the second window's phases e^{i t log m} are its
-    conjugates.
+    the first window at t_max.  A batch of heights is taken one group at
+    a time, a group being a run of at most _GROUP_ROWS consecutive heights
+    with the same window lengths (k, j): each group forms one phase matrix
+    e^{-i t log n}, a row per height, and the second window's phases
+    e^{i t log m} are its conjugates.  numpy gives each row sum the same
+    pairwise summation as a one-height array, so every value is the bits
+    of that height evaluated alone.
     """
 
     def __init__(self, chi: DirichletCharacter, sigma: float, delta: float,
@@ -98,23 +111,60 @@ class AfeWindows:
         self._w = table[n % q] * n.astype(float) ** (-sigma)
         self._v = np.conj(table)[n % q] * n.astype(float) ** (sigma - 1.0)
 
-    def sums(self, t: float) -> tuple[complex, complex]:
-        """(sum_{n<=x} chi(n) n^{-s}, sum_{m<=y} conj chi(m) m^{s-1}), t <= t_max."""
-        k = math.floor(self.delta * self.root * math.sqrt(t))
-        j = math.floor(self.root * math.sqrt(t) / self.delta)
-        if max(k, j) > len(self._w):
+    def lengths(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Window lengths (k, j) = (floor x, floor y) at each height of ts."""
+        sqrt_t = np.sqrt(ts)
+        return (np.floor(self.delta * self.root * sqrt_t).astype(np.int64),
+                np.floor(self.root * sqrt_t / self.delta).astype(np.int64))
+
+    def sums(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """(sum_{n<=x} chi(n) n^{-s}, sum_{m<=y} conj chi(m) m^{s-1}) at each
+        height of ts, every height <= t_max."""
+        ts = np.asarray(ts, dtype=float)
+        k, j = self.lengths(ts)
+        short = np.flatnonzero(np.maximum(k, j) > len(self._w))
+        if len(short):
+            i = short[0]
             raise HeightExceeded(f"AFE windows are tabulated to {len(self._w)} terms; "
-                                 f"t = {t} needs {max(k, j)}")
-        phases = np.exp(-1j * t * self._logn[:max(k, j)])
-        return (complex(np.sum(self._w[:k] * phases[:k])),
-                complex(np.sum(self._v[:j] * np.conj(phases[:j]))))
+                                 f"t = {ts[i]} needs {max(k[i], j[i])}")
+        firsts = np.empty(len(ts), dtype=complex)
+        seconds = np.empty(len(ts), dtype=complex)
+        for lo, hi in afe_groups(ts, self):
+            kg, jg = int(k[lo]), int(j[lo])
+            phases = np.exp(-1j * ts[lo:hi, None] * self._logn[None, :max(kg, jg)])
+            firsts[lo:hi] = (self._w[:kg] * phases[:, :kg]).sum(axis=1)
+            seconds[lo:hi] = (self._v[:jg] * np.conj(phases[:, :jg])).sum(axis=1)
+        return firsts, seconds
+
+    def values(self, ts) -> list[complex]:
+        """L(sigma + i t, chi) = first + X(s, chi) second at each height of ts:
+        one x_factor call per height, and the sum in Python complexes."""
+        firsts, seconds = self.sums(ts)
+        sigma, chi = self.sigma, self.chi
+        return [first + x_factor(complex(sigma, t), chi) * second
+                for t, first, second in zip(np.asarray(ts, dtype=float).tolist(),
+                                            firsts.tolist(), seconds.tolist())]
 
     def value(self, t: float) -> LValue:
-        """L(sigma + i t, chi) = first + X(s, chi) second, with its remainder bound."""
-        first, second = self.sums(t)
-        value = first + x_factor(complex(self.sigma, t), self.chi) * second
-        return LValue(value, afe_remainder_bound(self.sigma, t, self.chi.modulus,
-                                                 self.delta), "afe")
+        """L(sigma + i t, chi) with its remainder bound: values on one height."""
+        return LValue(self.values([t])[0], afe_remainder_bound(
+            self.sigma, t, self.chi.modulus, self.delta), "afe")
+
+
+def afe_groups(ts: np.ndarray, *windows: AfeWindows) -> list[tuple[int, int]]:
+    """(lo, hi) of each run of consecutive heights in ts over which every
+    window's lengths (k, j) stay the same, cut after every _GROUP_ROWS-th
+    height, in order: the groups in which AfeWindows.sums and the thm1 and
+    thm2 evaluators take a batch."""
+    if len(ts) == 0:
+        return []
+    step = np.zeros(len(ts) - 1, dtype=bool)
+    step[_GROUP_ROWS - 1::_GROUP_ROWS] = True
+    for win in windows:
+        for key in win.lengths(ts):
+            step |= key[1:] != key[:-1]
+    edges = [0, *(np.flatnonzero(step) + 1).tolist(), len(ts)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def l_afe(s, chi: DirichletCharacter, delta: float = 1.0) -> LValue:
@@ -144,9 +194,13 @@ def l_via_hurwitz(table, sigma: float, ts, tol: float) -> tuple[np.ndarray, floa
     """m^{-s} sum_a table[a] zeta(s, a/m) at s = sigma + i t for a batch
     of heights and a period-m value table, with the certified zeta bounds
     summed and scaled by m^{-sigma}.  One kernel call per nonzero shift,
-    each with the N that _hurwitz_terms gives the batch's largest |t|."""
+    each with the N that _hurwitz_terms gives the batch's largest |t|;
+    the Backlund orders behind N and every shift's truncation are formed
+    once."""
     ts = np.asarray(ts, dtype=float)
-    n_terms = _hurwitz_terms(float(np.max(np.abs(ts))), sigma, tol)
+    tmax = float(np.max(np.abs(ts)))
+    orders = _backlund_orders(tmax, sigma)
+    n_terms = _hurwitz_terms(tmax, sigma, tol, orders)
     m = len(table)
     total = np.zeros(len(ts), dtype=complex)
     bound = 0.0
@@ -154,7 +208,7 @@ def l_via_hurwitz(table, sigma: float, ts, tol: float) -> tuple[np.ndarray, floa
         ca = table[a]
         if ca == 0:
             continue
-        vals, b = _hurwitz_critical_batch(ts, a / m, tol, sigma, n_terms)
+        vals, b = _hurwitz_critical_batch(ts, a / m, tol, sigma, n_terms, orders)
         total += ca * vals
         bound += b
     return np.exp(-(sigma + 1j * ts) * math.log(m)) * total, m ** -sigma * bound

@@ -42,7 +42,7 @@ from .errors import (
     PreconditionError,
     SeriesProductDisagreement,
 )
-from .lfunc import AfeWindows, LValue, l_oracle, l_via_hurwitz
+from .lfunc import AfeWindows, LValue, afe_groups, l_oracle, l_via_hurwitz
 from .primes import is_prime, primes_upto
 # perfbench/spans.py wraps x_factor and hurwitz_zeta_certified by this
 # module's attributes, so the names stay importable here
@@ -493,7 +493,10 @@ class ThmOneEvaluator:
     it, and Delta = 1 sums about 2 sqrt(l t / 2 pi) terms (126 at t = 5000)
     instead of about 98k, with a remainder bound near 15 instead of 2.3e3.
     Each character's window terms are tabulated once (lfunc.AfeWindows)
-    up to t_max; each height costs one phase array exp(-i gamma log n).
+    up to t_max.  a_values takes a table of zeros one group of equal
+    window lengths at a time (lfunc.afe_groups): per group, one phase
+    matrix per window and one for B, whose row sums are the bits of the
+    one-height a_value.
     """
 
     def __init__(self, bpoly: BPolynomial, sigma: float, t_max: float):
@@ -513,8 +516,13 @@ class ThmOneEvaluator:
         self._b_log = np.log(ns)
         self._b_amp = cs * ns ** (-sigma)
 
+    def b_values(self, gammas: np.ndarray) -> np.ndarray:
+        """B(sigma + i gamma, P) at each height of a group: the row sums of
+        one phase matrix."""
+        return (self._b_amp * np.exp(-1j * gammas[:, None] * self._b_log)).sum(axis=1)
+
     def b_value(self, gamma: float) -> complex:
-        return complex(np.sum(self._b_amp * np.exp(-1j * gamma * self._b_log)))
+        return complex(self.b_values(np.array([gamma], dtype=float))[0])
 
     def l_values(self, gamma: float) -> tuple[LValue, LValue]:
         """AFE values of L(s, chi1), L(s, chi2) at s = sigma + i gamma."""
@@ -523,6 +531,15 @@ class ThmOneEvaluator:
     def a_value(self, gamma: float) -> complex:
         lv1, lv2 = self.l_values(gamma)
         return _statistic(self.b_value(gamma), lv1.value, lv2.value)
+
+    def a_values(self, gammas: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out[i] = a_value(gammas[i]), bit for bit, filled group by group
+        and returned."""
+        for lo, hi in afe_groups(gammas, self._win1, self._win2):
+            ts = gammas[lo:hi]
+            out[lo:hi] = [_statistic(b, l1, l2) for b, l1, l2 in zip(
+                self.b_values(ts).tolist(), self._win1.values(ts), self._win2.values(ts))]
+        return out
 
     def a_value_oracle(self, gamma: float) -> complex:
         s = complex(self.sigma, gamma)
@@ -581,17 +598,16 @@ def _audit_stride(audit_rate: float) -> int:
     return int(round(1.0 / audit_rate)) if audit_rate > 0 else 0
 
 
-def _audited_rows(row, audit, gammas: np.ndarray, stride: int,
+def _audited_rows(rows, audit, gammas: np.ndarray, stride: int,
                   out: np.ndarray) -> np.ndarray:
-    """out[i] = row(gammas[i]) in table order, returned; audit(gamma) runs
-    first at table indices 0, stride, 2 stride, ... (none when stride is
-    0).  out is complex, shape (n,) or (n, k) for rows of k values."""
-    for i, g in enumerate(gammas):
-        g = float(g)
-        if stride and i % stride == 0:
+    """rows(gammas, out), returned: the row of each height in table order.
+    audit(gamma) runs first at table indices 0, stride, 2 stride, ...
+    (none when stride is 0).  out is complex, shape (n,) or (n, k) for
+    rows of k values."""
+    if stride:
+        for g in gammas[::stride].tolist():
             audit(g)
-        out[i] = row(g)
-    return out
+    return rows(gammas, out)
 
 
 def _cauchy_schwarz(a_values: np.ndarray) -> tuple[complex, float, float]:
@@ -622,7 +638,7 @@ def _thm1_sweep(zeros: ZeroTable, ts, sigma: float, bpoly: BPolynomial,
     stride = _audit_stride(audit_rate)
     gammas = zeros.up_to(max(ts))
     evaluator = ThmOneEvaluator(bpoly, sigma, max(ts))
-    a_values = _audited_rows(evaluator.a_value, evaluator.audit, gammas, stride,
+    a_values = _audited_rows(evaluator.a_values, evaluator.audit, gammas, stride,
                              np.empty(len(gammas), dtype=complex))
     predicted_c = predicted_constant(bpoly, sigma)
     reports = []

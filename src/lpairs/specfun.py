@@ -256,23 +256,24 @@ def _backlund_orders(tmax: float, sigma: float):
     return k, p, log_c
 
 
-def _hurwitz_terms(tmax: float, sigma: float, tol: float) -> int:
+def _hurwitz_terms(tmax: float, sigma: float, tol: float, orders=None) -> int:
     """Smallest main-sum length N >= 20 at which some order of
     _backlund_orders meets tol: N_k = (C_k / tol)^(1/p), formed in logs,
     serves every height up to tmax and every shift a (N + a > N), and N
     is one above the least N_k, which absorbs the rounding of the logs.
+    orders is _backlund_orders(tmax, sigma) when the caller has it.
 
     That is about 0.24 tmax in the critical strip, where _em_terms gives
     0.62 tmax; at tmax = 0 it is 20, as _em_terms is.
     """
-    _, p, log_c = _backlund_orders(tmax, sigma)
+    _, p, log_c = _backlund_orders(tmax, sigma) if orders is None else orders
     if len(p) == 0:  # no order the kernel may stop at: it refuses sigma
         return 20
     return max(20, math.ceil(math.exp(float(np.min((log_c - math.log(tol)) / p)))) + 1)
 
 
 def _hurwitz_critical_batch(ts: np.ndarray, a: float, tol: float, sigma: float,
-                            n_terms: int):
+                            n_terms: int, orders=None):
     """zeta(sigma + i t, a) over a batch of heights, with one shared truncation.
 
     The one Euler-Maclaurin body of the workbench: the scalar routes call
@@ -287,9 +288,11 @@ def _hurwitz_critical_batch(ts: np.ndarray, a: float, tol: float, sigma: float,
     Backlund's estimate |(s+2K+1)/(sigma+2K+1)| * |next term|, valid for
     sigma + 2K + 1 > 0, with K the first order of _backlund_orders where
     that bound is <= tol at the batch's largest height, and so at every
-    height.  The K corrections are formed side by side, one row per
-    order, for blocks of _TAIL_BLOCK heights, so a batch of one height
-    costs a few dozen numpy calls whatever K is.
+    height; orders is _backlund_orders(max|ts|, sigma) when the caller
+    has it (the L-route forms it once for all its shifts).  The K
+    corrections are formed side by side, one row per order, for blocks of
+    _TAIL_BLOCK heights, so a batch of one height costs a few dozen numpy
+    calls whatever K is.
     A root-sum-square rounding allowance for the oscillatory power sums
     (phase error ~ |t| log n * eps per term) is added with a factor-4
     margin.  The tail terms (the integral, the half term and the K
@@ -321,7 +324,7 @@ def _hurwitz_critical_batch(ts: np.ndarray, a: float, tol: float, sigma: float,
     values += integral + half
     tail = np.abs(integral) + np.abs(half)
 
-    k, p, log_c = _backlund_orders(tmax, sigma)
+    k, p, log_c = _backlund_orders(tmax, sigma) if orders is None else orders
     log_trunc = log_c - p * math.log(na)
     stops = np.nonzero(log_trunc <= math.log(tol))[0]
     if len(stops) == 0:

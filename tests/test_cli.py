@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -5,7 +6,6 @@ import sys
 import pytest
 
 from lpairs.cli import _parse_t_list, run
-from lpairs.errors import PreconditionError
 
 
 @pytest.fixture()
@@ -246,9 +246,22 @@ def test_console_entry_point():
 
 @pytest.mark.parametrize("value", ["nan", "inf", "100,inf", "-inf"])
 def test_config_error_non_finite_t(zero_file, value):
-    with pytest.raises(PreconditionError):
+    with pytest.raises(argparse.ArgumentTypeError):
         _parse_t_list(value)
     assert run(["landau", "--x", "2", "--T", value, "--zeros", zero_file]) == 1
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0", "values must be positive and finite, got '0'"),
+    ("-5", "values must be positive and finite, got '-5'"),
+    ("nan", "values must be positive and finite, got 'nan'"),
+    ("abc", "expected a number or a comma list, got 'abc'"),
+])
+def test_bad_t_message_on_stderr(value, message, capsys):
+    # argparse used to print "invalid _parse_t_list value: '0'" in place
+    # of the parser's own message; the exit code stays 1
+    assert run(["thm1", "--T", value]) == 1
+    assert f"error: argument --T: {message}\n" in capsys.readouterr().err
 
 
 def test_io_error_non_finite_ordinate(tmp_path):

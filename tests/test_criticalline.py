@@ -2,6 +2,7 @@ import math
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import lpairs.criticalline as cl
@@ -105,6 +106,19 @@ def test_evaluator_matches_standalone_afe(chi3, chi5):
         assert lv1.value == ref1.value
         assert lv2.value == ref2.value
         assert lv1.bound == ref1.bound
+
+
+def test_batched_rows_equal_one_height_rows(zeros1000, chi3):
+    # rows, a group of equal window lengths at a time, against b_value and
+    # l_values one height at a time, bit for bit; 5:1 is complex
+    ev = ThmTwoEvaluator(make_config(chi3, character(5, 1)), 1000.0)
+    gammas = zeros1000.up_to(1000.0)
+    batched = ev.rows(gammas, np.empty((len(gammas), 2), dtype=complex))
+    expected = []
+    for g in gammas.tolist():
+        b = ev.b_value(g)
+        expected.append([b * lv.value for lv in ev.l_values(g)])
+    assert batched.tolist() == expected
 
 
 def test_a2_modulus_identity(chi3, chi5):

@@ -161,7 +161,7 @@ def test_afe_windows_match_literal_power_sums(chi3, chi5):
     for chi in (chi3, chi5):
         for sigma, delta, t in ((0.5, 1.0, 100.0), (0.75, 2.0, 1234.5),
                                 (0.6, 1.7, 5000.0)):
-            first, second = AfeWindows(chi, sigma, delta, 2.0 * t).sums(t)
+            (first,), (second,) = AfeWindows(chi, sigma, delta, 2.0 * t).sums([t])
             s = complex(sigma, t)
             root = math.sqrt(chi.modulus * t / (2.0 * math.pi))
             ref1 = sum(chi(n) * n ** (-s) for n in range(1, math.floor(delta * root) + 1))
@@ -174,6 +174,35 @@ def test_afe_windows_match_literal_power_sums(chi3, chi5):
 def test_afe_windows_reject_heights_above_t_max(chi3):
     # a height beyond the tabulated windows used to drop terms silently
     win = AfeWindows(chi3, 0.5, 1.0, 100.0)
-    win.sums(100.0)
+    win.sums([100.0])
     with pytest.raises(HeightExceeded):
-        win.sums(5000.0)
+        win.sums([100.0, 5000.0])
+
+
+def _one_height_sums(win, t):
+    """Both window sums at one height, by the one-height formula: a 1-D
+    phase array and np.sum over each window."""
+    k = math.floor(win.delta * win.root * math.sqrt(t))
+    j = math.floor(win.root * math.sqrt(t) / win.delta)
+    phases = np.exp(-1j * t * win._logn[:max(k, j)])
+    return (complex(np.sum(win._w[:k] * phases[:k])),
+            complex(np.sum(win._v[:j] * np.conj(phases[:j]))))
+
+
+@pytest.mark.parametrize("chi", [character(3, 1), character(5, 2), character(5, 1)],
+                         ids=str)
+@pytest.mark.parametrize("sigma", [0.5, 0.75])
+@pytest.mark.parametrize("delta", [1.0, math.sqrt(5.0), 2.5])
+def test_batched_window_sums_equal_one_height_sums(chi, sigma, delta):
+    # the groups of equal window lengths (k, j) give every height the bits
+    # of the one-height formula; the 400 heights cross many steps of k and
+    # of j.  x / y = delta^2, so k and j step together at delta = 1 and
+    # sqrt 5, and apart at delta = 2.5
+    win = AfeWindows(chi, sigma, delta, 1500.0)
+    ts = np.linspace(300.0, 1500.0, 400)
+    k, j = win.lengths(ts)
+    assert len(set(k.tolist())) > 10 and len(set(j.tolist())) > 3
+    firsts, seconds = win.sums(ts)
+    expected = [_one_height_sums(win, t) for t in ts.tolist()]
+    assert list(zip(firsts.tolist(), seconds.tolist())) == expected
+    assert [lv.value for lv in map(win.value, ts.tolist())] == win.values(ts)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lpairs.characters import character
+from lpairs.characters import character, parse_character
 from lpairs.errors import (
     CutoffTooSmall,
     OracleAuditFailure,
@@ -189,6 +189,19 @@ class TestSeriesConstants:
         c = predicted_constant(bpoly, 0.75)
         assert abs(c) > 1e-6
 
+    @pytest.mark.parametrize("spec1, spec2", [("3:1", "5:1"), ("5:1", "7:2"),
+                                              ("5:3", "7:4")])
+    def test_swap_negates_c_for_complex_pairs(self, spec1, spec2):
+        # a complex character (chi != conj chi) in either slot: C = D - E
+        # changes sign exactly when the characters swap.  C = D - conj(E)
+        # breaks that, and no check on the quadratic 3:1 / 5:2 sees it
+        chi1, chi2 = parse_character(spec1), parse_character(spec2)
+        cutoff = max(chi1.modulus, chi2.modulus)
+        c = predicted_constant(build_b_polynomial(cutoff, chi1, chi2), 0.9)
+        swapped = predicted_constant(build_b_polynomial(cutoff, chi2, chi1), 0.9)
+        assert abs(c) > 1e-6
+        assert swapped == -c
+
     def test_sigma_domain(self, bpoly):
         with pytest.raises(PreconditionError):
             series_d(bpoly, 0.4)
@@ -245,6 +258,16 @@ class TestStatistic:
             assert lv2.value == ref2.value
             assert lv1.bound == ref1.bound
             assert lv2.bound == ref2.bound
+
+    def test_batched_statistic_equals_one_height_statistic(self, zeros1000, bpoly):
+        # a_values, a group of equal window lengths at a time, against
+        # a_value one height at a time, bit for bit
+        ev = ThmOneEvaluator(bpoly, 0.6, 1000.0)
+        gammas = zeros1000.up_to(1000.0)
+        batched = ev.a_values(gammas, np.empty(len(gammas), dtype=complex))
+        assert batched.tolist() == [ev.a_value(g) for g in gammas.tolist()]
+        assert ev.b_values(gammas[:50]).tolist() == [ev.b_value(g)
+                                                      for g in gammas[:50].tolist()]
 
     def test_chi2_window_short_and_within_its_bound(self, bpoly):
         # chi2 takes Delta = 1; the proof's Delta = sqrt(q) R summed ~98k

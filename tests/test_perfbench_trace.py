@@ -9,11 +9,13 @@ keeps the _series_route return shape and _SIEVE_CHUNK that the series
 metrics read.
 
 The benchmark reference pins lfunc.oracle_calls and
-specfun.x_factor_calls exactly.  One traced thm1_report and one traced
-thm2_report over N = 10 zeros, every height audited, check the per-zero
-and per-audit counts behind them: 4 l_oracle calls per thm1 audit, 2 per
-thm2 audit, and 2 x_factor calls per AFE pair (one pair per height and
-one per audit).
+specfun.x_factor_calls exactly.  Traced thm1_report and thm2_report runs
+over N = 10 zeros, with every height audited and with one audit
+(audit_rate 0.1), check the per-zero and per-audit counts behind them:
+4 l_oracle calls per thm1 audit, 2 per thm2 audit, and 2 x_factor calls
+per AFE pair, one pair per height and one per audit (2N + 2 = 22 at rate
+0.1).  A batched route that formed X once per group, or skipped an
+audit, would break them.  The evaluators' l_values run only in audits.
 """
 
 import os
@@ -47,16 +49,20 @@ assert m["specfun.x_factor_calls"] == 4, m
 
 n = zeros.count(50.0)
 assert n == 10, n
-for name, report, oracle_per_audit in (
-        ("thm1", lambda: meanvalues.thm1_report(zeros, 50.0, 0.75, chi1, chi2,
-                                                audit_rate=1.0), 4),
-        ("thm2", lambda: criticalline.thm2_report(zeros, 50.0, cfg,
-                                                  audit_rate=1.0), 2)):
-    with tracer.root(name, "bench") as root:
-        report()
-    m = spans.layer_metrics(tracer.spans, root, 0, meanvalues._SIEVE_CHUNK)
-    assert m["lfunc.oracle_calls"] == oracle_per_audit * n, (name, m)
-    assert m["specfun.x_factor_calls"] == 2 * n + 2 * n, (name, m)
+for rate, audits in ((1.0, n), (0.1, 1)):
+    for name, report, oracle_per_audit, layer in (
+            ("thm1", lambda: meanvalues.thm1_report(zeros, 50.0, 0.75, chi1, chi2,
+                                                    audit_rate=rate), 4, "meanvalues"),
+            ("thm2", lambda: criticalline.thm2_report(zeros, 50.0, cfg,
+                                                      audit_rate=rate), 2,
+             "criticalline")):
+        with tracer.root(name, "bench") as root:
+            report()
+        m = spans.layer_metrics(tracer.spans, root, 0, meanvalues._SIEVE_CHUNK)
+        assert m["lfunc.oracle_calls"] == oracle_per_audit * audits, (name, rate, m)
+        assert m["specfun.x_factor_calls"] == 2 * n + 2 * audits, (name, rate, m)
+        assert m[layer + ".audit_calls"] == audits, (name, rate, m)
+        assert m[layer + ".l_values_calls"] == audits, (name, rate, m)
 """
 
 
