@@ -174,9 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_zeros=True):
-        p.add_argument("--T", dest="t_values", type=_parse_t_list, default=[1000.0],
-                       help="height, or comma-separated sweep (one CSV row per T)")
         if with_zeros:
+            p.add_argument("--T", dest="t_values", type=_parse_t_list,
+                           default=[1000.0],
+                           help="height, or comma-separated sweep (one CSV row per T)")
             p.add_argument("--zeros", default=None,
                            help='zero table path, or "compute" (default: '
                                 "$ZETA_ZEROS_PATH, else compute)")

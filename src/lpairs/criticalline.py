@@ -33,28 +33,25 @@ Zeros are sampled at numerically computed ordinates, which lie on the
 critical line at desk heights, so rho = 1/2 + i gamma throughout.
 
 thm2_report is thm1_report with another statistic: the L-values at the
-zeros are lfunc.AfeWindows.values, taken one group of equal window
-lengths at a time (ThmTwoEvaluator.rows); the zero loop, the audit
-verdict and the reducer are meanvalues._audited_rows, _check_audit and
-_cauchy_schwarz.
-method "oracle" replaces the loop by l_oracle_critical_batch over blocks
-of _EVAL_CHUNK heights, one task per block and character, run on one
-thread per CPU.  The per-zero values land in one preallocated array in
-table order and every reduction stays serial, so both routes give the
-same bits on any number of CPUs.
+zeros are lfunc.AfeWindows.values (ThmTwoEvaluator.rows); the zero loop,
+the audit verdict and the reducer are meanvalues._audited_rows,
+_check_audit and _cauchy_schwarz.  method "oracle" replaces the loop by
+one l_oracle_critical_batch call per character over the whole table,
+which lfunc runs in blocks on threads, and a per-height loop for B.
+Every reduction stays serial, so both routes give the same bits on any
+number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .characters import DirichletCharacter, _check_non_principal, gauss_sum
 from .errors import PreconditionError, SearchExhausted
-from .lfunc import AfeWindows, LValue, afe_groups, l_oracle, l_oracle_critical_batch
+from .lfunc import _GROUP_ROWS, AfeWindows, LValue, l_oracle, l_oracle_critical_batch
 from .meanvalues import (_audit_stride, _audited_rows, _cauchy_schwarz, _check_audit,
                          _csv_row)
 from .primes import is_prime
@@ -65,16 +62,6 @@ from .summation import neumaier_sum, neumaier_sum_complex
 from .zeros import ZeroTable
 
 _P_SEARCH_BOUND = 10 ** 6
-# heights per oracle batch; each block's largest height sets the Hurwitz
-# kernel's term count N
-_EVAL_CHUNK = 512
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def choose_p(chi1: DirichletCharacter, chi2: DirichletCharacter) -> int:
@@ -131,6 +118,10 @@ def make_config(chi1: DirichletCharacter, chi2: DirichletCharacter,
         p = choose_p(chi1, chi2)
     elif not is_prime(p) or p in (chi1.modulus, chi2.modulus):
         raise PreconditionError(f"auxiliary prime {p} must be prime and != q, l")
+    # chi(p) = exp(2 pi i e / (q - 1)): compare e1 / (q - 1) and e2 / (l - 1) exactly
+    if chi1.log(p) * (chi2.modulus - 1) == chi2.log(p) * (chi1.modulus - 1):
+        raise PreconditionError(f"auxiliary prime {p} gives chi1(p) = chi2(p), so "
+                                "C1 = C2 and the main term vanishes")
     return CriticalLineConfig(chi1=chi1, chi2=chi2, p=p,
                               c1=c_constant(chi1, p), c2=c_constant(chi2, p))
 
@@ -155,11 +146,10 @@ class ThmTwoEvaluator:
 
     def rows(self, gammas: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out[i] = (B L1, B L2) at gammas[i], bit for bit the one-height
-        values, filled one group of equal window lengths at a time and
-        returned."""
-        for lo, hi in afe_groups(gammas, self._win1, self._win2):
-            ts = gammas[lo:hi]
-            out[lo:hi] = [(b * l1, b * l2) for b, l1, l2 in zip(
+        values, filled block by block and returned."""
+        for lo in range(0, len(gammas), _GROUP_ROWS):
+            ts = gammas[lo:lo + _GROUP_ROWS]
+            out[lo:lo + len(ts)] = [(b * l1, b * l2) for b, l1, l2 in zip(
                 map(self.b_value, ts.tolist()), self._win1.values(ts),
                 self._win2.values(ts))]
         return out
@@ -228,25 +218,11 @@ def thm2_report(zeros: ZeroTable, t: float, cfg: CriticalLineConfig,
     evaluator = ThmTwoEvaluator(cfg, t)
     rows = np.empty((len(gammas), 2), dtype=complex)
     if method == "oracle":
-        # imported here: at module level it costs every workload start-up
-        # time and peak RSS, and only this route runs a pool
-        from concurrent.futures import ThreadPoolExecutor
-
-        # one task per (block, character); numpy releases the GIL in the
-        # kernel's N-term rows, so the tasks run in parallel on threads
-        tasks = [(gammas[start:start + _EVAL_CHUNK], chi)
-                 for start in range(0, len(gammas), _EVAL_CHUNK)
-                 for chi in (cfg.chi1, cfg.chi2)]
-        workers = max(1, min(_cpu_count(), len(tasks)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # map yields in task order, so the rows and the serial
-            # reductions below are those of a serial run, bit for bit
-            results = pool.map(lambda task: l_oracle_critical_batch(*task), tasks)
-            for start in range(0, len(gammas), _EVAL_CHUNK):
-                (l1s, _), (l2s, _) = next(results), next(results)
-                for i, (l1, l2) in enumerate(zip(l1s, l2s), start):
-                    b = evaluator.b_value(float(gammas[i]))
-                    rows[i] = b * complex(l1), b * complex(l2)
+        l1s, _ = l_oracle_critical_batch(gammas, cfg.chi1)
+        l2s, _ = l_oracle_critical_batch(gammas, cfg.chi2)
+        for i, (l1, l2) in enumerate(zip(l1s, l2s)):
+            b = evaluator.b_value(float(gammas[i]))
+            rows[i] = b * complex(l1), b * complex(l2)
     else:
         _audited_rows(evaluator.rows, evaluator.audit, gammas, stride, rows)
     s1 = neumaier_sum_complex(rows[:, 0].tolist())

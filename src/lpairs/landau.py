@@ -94,8 +94,8 @@ def landau_main_term(x, t: float) -> float:
 def landau_error_budget(x, t: float) -> float:
     """Sum of the three error expressions with all implied constants 1."""
     x = rational_point(x)
-    if t <= 1.0:
-        raise PreconditionError(f"error budget needs T > 1, got {t}")
+    if not 1.0 < t < math.inf:  # nan fails the comparison
+        raise PreconditionError(f"error budget needs 1 < T < inf, got {t}")
     xf = float(x)
     log_x = math.log(xf)
     b1 = xf * math.log(2.0 * xf * t) * math.log(math.log(3.0 * xf))

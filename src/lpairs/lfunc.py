@@ -15,14 +15,13 @@ Any real Delta >= 1 is accepted.
 
 The AFE value has one implementation, AfeWindows.values(ts): a table of
 chi(n) n^{-sigma}, conj chi(m) m^{sigma-1} and log n for one character,
-sigma, Delta and t_max gives both window sums at a batch of heights, by
-groups of equal window lengths (afe_groups): each group forms one phase
-matrix and takes its row sums, the same bits as each height summed
+sigma, Delta and t_max gives both window sums at any batch of heights,
+by runs of equal window lengths, the same bits as each height summed
 alone.  The value is the first sum plus X(s, chi) times the second, one
 x_factor call and one Python complex sum per height.  AfeWindows.value(t)
-is values on one height with the remainder bound; l_afe builds the
-table for its single height; the thm1 and thm2 evaluators build it once
-for every height up to T and take their tables of zeros group by group.
+is values on one height with the remainder bound; l_afe builds the table
+for its single height; the thm1 and thm2 evaluators build it once for
+every height up to T.
 
 l_oracle is the slow independent evaluator through Hurwitz zeta:
 L(s, chi) = q^{-s} sum_{a=1}^{q} chi(a) zeta(s, a/q), certified to 1e-9.
@@ -33,14 +32,15 @@ tol) at which the kernel's Backlund remainder bound meets tol (about
 0.24 max|t| in the critical strip).  It also serves the Euler-product
 route of the limit constants, at t = 0.  The oracle contract
 (non-principal character, finite sigma, |t| <= 1e4, one rounding
-allowance, bound <= 1e-9) has one implementation too: l_oracle applies
-it to a batch of one height and l_oracle_critical_batch to a batch at
-sigma = 1/2.
+allowance, bound <= 1e-9) has one implementation too, _oracle_batch, on
+any batch at any sigma: l_oracle applies it to one height and
+l_oracle_critical_batch to a batch at sigma = 1/2.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +60,12 @@ from .specfun import hurwitz_zeta_certified
 AFE_REMAINDER_CONSTANT = 10.0
 ORACLE_TOL = 1e-11  # Euler-Maclaurin truncation tolerance per Hurwitz term
 _AFE_MIN_HEIGHT = 10.0  # below this the Stirling-regime bound degrades
-# heights per AFE group at most: a group's phase matrix and its products
-# then stay near 100 kB at the window lengths of thm2 at T = 1e4, where
-# runs of equal lengths reach 259 heights (1.1 MB of temporaries)
+# heights per AFE group, and per evaluator block, at most: a group's phase
+# matrix and its products then stay near 100 kB at the window lengths of
+# thm2 at T = 1e4, where runs of equal lengths reach 259 heights (1.1 MB)
 _GROUP_ROWS = 64
+# heights per oracle block; each block's largest |t| sets the kernel's N
+_ORACLE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,10 @@ class AfeWindows:
                                  f"t = {ts[i]} needs {max(k[i], j[i])}")
         firsts = np.empty(len(ts), dtype=complex)
         seconds = np.empty(len(ts), dtype=complex)
-        for lo, hi in afe_groups(ts, self):
+        step = (k[1:] != k[:-1]) | (j[1:] != j[:-1])
+        step[_GROUP_ROWS - 1::_GROUP_ROWS] = True
+        edges = [0, *(np.flatnonzero(step) + 1).tolist()] if len(ts) else []
+        for lo, hi in zip(edges, edges[1:] + [len(ts)]):
             kg, jg = int(k[lo]), int(j[lo])
             phases = np.exp(-1j * ts[lo:hi, None] * self._logn[None, :max(kg, jg)])
             firsts[lo:hi] = (self._w[:kg] * phases[:, :kg]).sum(axis=1)
@@ -151,22 +156,6 @@ class AfeWindows:
             self.sigma, t, self.chi.modulus, self.delta), "afe")
 
 
-def afe_groups(ts: np.ndarray, *windows: AfeWindows) -> list[tuple[int, int]]:
-    """(lo, hi) of each run of consecutive heights in ts over which every
-    window's lengths (k, j) stay the same, cut after every _GROUP_ROWS-th
-    height, in order: the groups in which AfeWindows.sums and the thm1 and
-    thm2 evaluators take a batch."""
-    if len(ts) == 0:
-        return []
-    step = np.zeros(len(ts) - 1, dtype=bool)
-    step[_GROUP_ROWS - 1::_GROUP_ROWS] = True
-    for win in windows:
-        for key in win.lengths(ts):
-            step |= key[1:] != key[:-1]
-    edges = [0, *(np.flatnonzero(step) + 1).tolist(), len(ts)]
-    return list(zip(edges[:-1], edges[1:]))
-
-
 def l_afe(s, chi: DirichletCharacter, delta: float = 1.0) -> LValue:
     """Approximate-functional-equation value of L(s, chi).
 
@@ -177,8 +166,9 @@ def l_afe(s, chi: DirichletCharacter, delta: float = 1.0) -> LValue:
     if not 0.0 < s.real < 1.0:
         raise OutOfStrip(f"need 0 < Re s < 1, got Re s = {s.real}")
     _check_non_principal(chi)
-    if delta < 1.0:
-        raise DomainTooSmall(f"window parameter Delta must be >= 1, got {delta}")
+    if not 1.0 <= delta < math.inf:  # nan fails the comparison
+        raise DomainTooSmall(f"window parameter Delta must be finite and >= 1, "
+                             f"got {delta}")
     if not math.isfinite(s.imag):
         raise DomainTooSmall(f"AFE requires a finite height, got t = {s.imag}")
     if s.imag <= -_AFE_MIN_HEIGHT:
@@ -214,23 +204,51 @@ def l_via_hurwitz(table, sigma: float, ts, tol: float) -> tuple[np.ndarray, floa
     return np.exp(-(sigma + 1j * ts) * math.log(m)) * total, m ** -sigma * bound
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _oracle_batch(chi: DirichletCharacter, sigma: float, ts) -> tuple[np.ndarray, float]:
-    """The oracle contract: L(sigma + i t, chi) over a batch of heights,
-    with one worst bound for the batch."""
+    """The oracle contract: L(sigma + i t, chi) over a batch of heights in
+    blocks of _ORACLE_BLOCK, with the worst bound of its blocks.  numpy
+    releases the GIL in the kernel's rows, so the blocks run on one thread
+    per CPU; they land in block order, the same bits on any number of CPUs."""
     _check_non_principal(chi)
     if not math.isfinite(sigma):
         raise DomainTooSmall(f"l_oracle needs a finite real part, got {sigma}")
+    ts = np.asarray(ts, dtype=float)
     if len(ts) == 0:
         return np.empty(0, dtype=complex), 0.0
     tmax = float(np.max(np.abs(ts)))
     if not tmax <= 1e4:  # nan fails the comparison
         raise HeightExceeded(f"oracle supports |t| <= 1e4, got {tmax}")
-    values, bound = l_via_hurwitz(chi.value_table(), sigma, ts, ORACLE_TOL)
-    bound += 8.0 * float(np.max(np.abs(values))) * 2.2e-16 + 1e-12
-    if bound > 1e-9:
-        raise AccuracyLoss(f"oracle bound {bound:.2e} exceeds 1e-9 at "
-                           f"sigma={sigma}, |t| <= {tmax}")
-    return values, bound
+    table = chi.value_table()
+
+    def block(lo: int) -> tuple[np.ndarray, float]:
+        values, bound = l_via_hurwitz(table, sigma, ts[lo:lo + _ORACLE_BLOCK],
+                                      ORACLE_TOL)
+        bound += 8.0 * float(np.max(np.abs(values))) * 2.2e-16 + 1e-12
+        if bound > 1e-9:
+            raise AccuracyLoss(f"oracle bound {bound:.2e} exceeds 1e-9 at "
+                               f"sigma={sigma}, |t| <= {tmax}")
+        return values, bound
+
+    starts = range(0, len(ts), _ORACLE_BLOCK)
+    if len(starts) == 1:
+        return block(0)
+    # imported here: at module level it costs every run start-up time
+    from concurrent.futures import ThreadPoolExecutor
+
+    out = np.empty(len(ts), dtype=complex)
+    worst = 0.0
+    with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(starts))) as pool:
+        for lo, (values, bound) in zip(starts, pool.map(block, starts)):
+            out[lo:lo + len(values)] = values
+            worst = max(worst, bound)
+    return out, worst
 
 
 def l_oracle(s, chi: DirichletCharacter) -> LValue:
@@ -248,6 +266,6 @@ def l_oracle(s, chi: DirichletCharacter) -> LValue:
 
 
 def l_oracle_critical_batch(ts, chi: DirichletCharacter) -> tuple[np.ndarray, float]:
-    """Oracle values L(1/2 + i t, chi) for an ascending batch of heights:
-    the l_oracle contract at sigma = 1/2.  Returns (values, worst bound)."""
+    """Oracle values L(1/2 + i t, chi) for a batch of heights: the l_oracle
+    contract at sigma = 1/2.  Returns (values, worst bound)."""
     return _oracle_batch(chi, 0.5, ts)

@@ -42,7 +42,7 @@ from .errors import (
     PreconditionError,
     SeriesProductDisagreement,
 )
-from .lfunc import AfeWindows, LValue, afe_groups, l_oracle, l_via_hurwitz
+from .lfunc import _GROUP_ROWS, AfeWindows, LValue, l_oracle, l_via_hurwitz
 from .primes import is_prime, primes_upto
 # perfbench/spans.py wraps x_factor and hurwitz_zeta_certified by this
 # module's attributes, so the names stay importable here
@@ -493,10 +493,9 @@ class ThmOneEvaluator:
     it, and Delta = 1 sums about 2 sqrt(l t / 2 pi) terms (126 at t = 5000)
     instead of about 98k, with a remainder bound near 15 instead of 2.3e3.
     Each character's window terms are tabulated once (lfunc.AfeWindows)
-    up to t_max.  a_values takes a table of zeros one group of equal
-    window lengths at a time (lfunc.afe_groups): per group, one phase
-    matrix per window and one for B, whose row sums are the bits of the
-    one-height a_value.
+    up to t_max.  a_values takes a table of zeros in blocks of _GROUP_ROWS
+    heights: per block, one phase matrix for B and the windows' own
+    groups, whose row sums are the bits of the one-height a_value.
     """
 
     def __init__(self, bpoly: BPolynomial, sigma: float, t_max: float):
@@ -517,7 +516,7 @@ class ThmOneEvaluator:
         self._b_amp = cs * ns ** (-sigma)
 
     def b_values(self, gammas: np.ndarray) -> np.ndarray:
-        """B(sigma + i gamma, P) at each height of a group: the row sums of
+        """B(sigma + i gamma, P) at each height of a block: the row sums of
         one phase matrix."""
         return (self._b_amp * np.exp(-1j * gammas[:, None] * self._b_log)).sum(axis=1)
 
@@ -533,11 +532,11 @@ class ThmOneEvaluator:
         return _statistic(self.b_value(gamma), lv1.value, lv2.value)
 
     def a_values(self, gammas: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out[i] = a_value(gammas[i]), bit for bit, filled group by group
+        """out[i] = a_value(gammas[i]), bit for bit, filled block by block
         and returned."""
-        for lo, hi in afe_groups(gammas, self._win1, self._win2):
-            ts = gammas[lo:hi]
-            out[lo:hi] = [_statistic(b, l1, l2) for b, l1, l2 in zip(
+        for lo in range(0, len(gammas), _GROUP_ROWS):
+            ts = gammas[lo:lo + _GROUP_ROWS]
+            out[lo:lo + len(ts)] = [_statistic(b, l1, l2) for b, l1, l2 in zip(
                 self.b_values(ts).tolist(), self._win1.values(ts), self._win2.values(ts))]
         return out
 

@@ -70,6 +70,8 @@ class ZeroTable:
 
     def count(self, t: float) -> int:
         """N(t): number of ordinates <= t.  Monotone in t."""
+        if math.isnan(t):  # searchsorted would place nan after every ordinate
+            raise PreconditionError("N(t) needs a height, got nan")
         if t > self.t_max:
             raise RangeExceeded(
                 f"N({t}) requested but table only covers heights <= {self.t_max}")

@@ -176,6 +176,7 @@ def test_config_error_out_of_range_audit_rate(zero_file, command, rate):
     ["thm2", "--method", "fastest"],
     ["thm1", "--char1", "3:0"],
     ["thm2", "--char1", "3:0", "--p", "7"],
+    ["thm2", "--char1", "3:1", "--char2", "5:2", "--p", "31"],
 ])
 def test_config_error_before_zero_table(tmp_path, monkeypatch, argv):
     # a bad --sigma or --oracle-audit is a configuration error (exit 1)
@@ -218,6 +219,11 @@ def test_afe_verify_calls_the_oracle_once_per_point(tmp_path, monkeypatch):
     points = 4 * len(lpairs.cli.AFE_GRID_SIGMAS)  # characters 3:1, 5:1, 5:2, 5:3
     assert len(calls) == len(set(calls)) == points
     assert len(out.read_text().splitlines()) == 1 + 5 * points
+
+
+def test_afe_verify_rejects_t():
+    # the grid heights are AFE_GRID_HEIGHTS; --T used to be accepted and ignored
+    assert run(["afe-verify", "--T", "5"]) == 1
 
 
 def test_seed_check_runs(zero_file, tmp_path):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import threading
 import time
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import lpairs.criticalline as cl
+import lpairs.lfunc as lfunc
 from lpairs.characters import character
 from lpairs.criticalline import (
     ThmTwoEvaluator,
@@ -93,6 +95,18 @@ def test_make_config_rejects_principal_with_explicit_p(chi5):
         make_config(character(3, 0), chi5, p=7)
 
 
+def test_make_config_rejects_p_with_equal_character_values(chi3, chi5):
+    # 31 = 1 mod 3 and mod 5: chi1(31) = chi2(31) = 1, so C1 = C2 and the
+    # main term (conj C1 - conj C2) (T/2pi) log(T/2pi) vanishes
+    with pytest.raises(PreconditionError, match="chi1\\(p\\) = chi2\\(p\\)"):
+        make_config(chi3, chi5, p=31)
+    # chi1(17) = chi2(17) = -1, at exponents 1 of 2 and 2 of 4
+    with pytest.raises(PreconditionError):
+        make_config(chi3, chi5, p=17)
+    cfg = make_config(chi3, chi5, p=13)  # chi1(13) = 1, chi2(13) = -1
+    assert abs(cfg.c1 - cfg.c2) >= 1e-6
+
+
 def test_evaluator_matches_standalone_afe(chi3, chi5):
     # one AFE value (AfeWindows.value) behind both: the evaluator
     # reproduces l_afe (Delta = 1) exactly
@@ -109,7 +123,7 @@ def test_evaluator_matches_standalone_afe(chi3, chi5):
 
 
 def test_batched_rows_equal_one_height_rows(zeros1000, chi3):
-    # rows, a group of equal window lengths at a time, against b_value and
+    # rows, a block of heights at a time, against b_value and
     # l_values one height at a time, bit for bit; 5:1 is complex
     ev = ThmTwoEvaluator(make_config(chi3, character(5, 1)), 1000.0)
     gammas = zeros1000.up_to(1000.0)
@@ -258,9 +272,9 @@ def test_report_oracle_method(zeros100, chi3, chi5):
 
 
 def test_oracle_pool_keeps_table_order(zeros1000, chi3, chi5, monkeypatch):
-    # 649 zeros make 2 blocks and 4 (block, character) tasks; the first
-    # task is held back so that it finishes last, and the report must
-    # still equal a serial reduction in table order, bit for bit
+    # 649 zeros make 2 oracle blocks per character; the first block is held
+    # back so that it finishes last, and the report must still equal a
+    # serial reduction in table order, bit for bit
     cfg = make_config(chi3, chi5)
     gammas = zeros1000.up_to(1000.0)
     ev = ThmTwoEvaluator(cfg, 1000.0)
@@ -277,12 +291,14 @@ def test_oracle_pool_keeps_table_order(zeros1000, chi3, chi5, monkeypatch):
     sum_a = neumaier_sum_complex(diffs)
     sum_abs2 = neumaier_sum(abs(a) ** 2 for a in diffs)
 
-    def first_task_last(block, chi):
-        if block[0] == gammas[0] and chi is chi3:
-            time.sleep(0.2)
-        return l_oracle_critical_batch(block, chi)
+    route = lfunc.l_via_hurwitz
 
-    monkeypatch.setattr(cl, "l_oracle_critical_batch", first_task_last)
+    def first_block_last(table, sigma, ts, tol):
+        if ts[0] == gammas[0]:
+            time.sleep(0.2)
+        return route(table, sigma, ts, tol)
+
+    monkeypatch.setattr(lfunc, "l_via_hurwitz", first_block_last)
     rep = thm2_report(zeros1000, 1000.0, cfg, method="oracle")
     assert len(gammas) == 649
     assert rep.n_zeros == 649
@@ -297,21 +313,26 @@ def test_oracle_pool_error_propagates_and_joins(zeros1000, chi3, chi5, monkeypat
     # a failing block raises through thm2_report, and the pool's threads
     # are gone when it returns
     gammas = zeros1000.up_to(1000.0)
+    route = lfunc.l_via_hurwitz
 
-    def second_block_fails(block, chi):
-        if block[0] == gammas[512]:
+    def second_block_fails(table, sigma, ts, tol):
+        if ts[0] == gammas[512]:
             raise AccuracyLoss("planted failure in the second block")
-        return l_oracle_critical_batch(block, chi)
+        return route(table, sigma, ts, tol)
 
-    monkeypatch.setattr(cl, "l_oracle_critical_batch", second_block_fails)
+    monkeypatch.setattr(lfunc, "l_via_hurwitz", second_block_fails)
     before = threading.active_count()
     with pytest.raises(AccuracyLoss, match="planted"):
         thm2_report(zeros1000, 1000.0, make_config(chi3, chi5), method="oracle")
     assert threading.active_count() == before
 
 
-def test_oracle_pool_empty_table(zeros100, chi3, chi5):
-    # no zeros up to T: no tasks, no threads, zero sums
+def test_oracle_pool_empty_table(zeros100, chi3, chi5, monkeypatch):
+    # no zeros up to T: no pool, zero sums
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an empty table started a thread pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     rep = thm2_report(zeros100, 12.0, make_config(chi3, chi5), method="oracle")
     assert rep.n_zeros == 0
     assert rep.sum_a == 0 and rep.sum_abs_a2 == 0.0 and rep.lower_bound_count == 0.0

@@ -77,6 +77,9 @@ def test_zero_sum_empty_below_first_zero(zeros100):
 def test_zero_sum_range_guard(zeros100):
     with pytest.raises(RangeExceeded):
         landau_zero_sum(2, zeros100, 500.0)
+    # nan used to sum every zero of the table
+    with pytest.raises(PreconditionError):
+        landau_zero_sum(2, zeros100, math.nan)
 
 
 def test_zero_sum_matches_direct_evaluation(zeros100):
@@ -164,3 +167,10 @@ def test_budget_min_saturation_near_one():
 def test_budget_requires_valid_domain():
     with pytest.raises(PreconditionError):
         landau_error_budget(2, 0.5)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_budget_rejects_non_finite_heights(t):
+    # nan used to return a nan budget
+    with pytest.raises(PreconditionError):
+        landau_error_budget(2, t)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import warnings
 
@@ -88,8 +89,10 @@ def test_preconditions(chi3, chi5):
         l_oracle(complex(0.5, 100.0), character(3, 0))
     with pytest.raises(DomainTooSmall):
         l_afe(complex(0.5, 3.0), chi3)
-    with pytest.raises(DomainTooSmall):
-        l_afe(complex(0.5, 100.0), chi3, delta=0.5)
+    for delta in (0.5, math.nan, math.inf):
+        # nan used to raise a bare ValueError and inf an OverflowError
+        with pytest.raises(DomainTooSmall):
+            l_afe(complex(0.5, 100.0), chi3, delta=delta)
     with pytest.raises(HeightExceeded):
         l_oracle(complex(0.5, 2e4), chi3)
 
@@ -127,6 +130,31 @@ def test_batch_oracle_empty_batch(chi5):
     values, bound = l_oracle_critical_batch(np.array([]), chi5)
     assert values.dtype == complex and values.shape == (0,)
     assert bound == 0.0
+
+
+def test_batch_oracle_blocks_on_a_pool_in_block_order(chi3, monkeypatch):
+    # 1100 heights make 3 blocks of at most 512, each with its own N, run
+    # on a pool: the values are the serial blocks' values, bit for bit,
+    # and the bound is their worst.  Empty and one-block batches start
+    # no pool.
+    ts = np.linspace(20.0, 1500.0, 1100)
+    blocks = [l_oracle_critical_batch(ts[lo:lo + 512], chi3) for lo in (0, 512, 1024)]
+    pools = []
+    executor = concurrent.futures.ThreadPoolExecutor
+
+    def recording(*args, **kwargs):
+        pools.append(kwargs)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+    values, bound = l_oracle_critical_batch(ts, chi3)
+    assert values.tobytes() == np.concatenate([v for v, _ in blocks]).tobytes()
+    assert bound == max(b for _, b in blocks)
+    assert len(pools) == 1
+    l_oracle_critical_batch(ts[:512], chi3)
+    l_oracle_critical_batch(ts[:0], chi3)
+    l_oracle(complex(0.5, 100.0), chi3)
+    assert len(pools) == 1
 
 
 def test_batch_oracle_checks_every_height_against_the_ceiling(chi5):
@@ -177,6 +205,13 @@ def test_afe_windows_reject_heights_above_t_max(chi3):
     win.sums([100.0])
     with pytest.raises(HeightExceeded):
         win.sums([100.0, 5000.0])
+
+
+def test_afe_windows_take_an_empty_batch(chi3):
+    win = AfeWindows(chi3, 0.5, 1.0, 100.0)
+    firsts, seconds = win.sums([])
+    assert firsts.shape == seconds.shape == (0,)
+    assert win.values([]) == []
 
 
 def _one_height_sums(win, t):

@@ -260,7 +260,7 @@ class TestStatistic:
             assert lv2.bound == ref2.bound
 
     def test_batched_statistic_equals_one_height_statistic(self, zeros1000, bpoly):
-        # a_values, a group of equal window lengths at a time, against
+        # a_values, a block of heights at a time, against
         # a_value one height at a time, bit for bit
         ev = ThmOneEvaluator(bpoly, 0.6, 1000.0)
         gammas = zeros1000.up_to(1000.0)

@@ -16,6 +16,9 @@ over N = 10 zeros, with every height audited and with one audit
 per AFE pair, one pair per height and one per audit (2N + 2 = 22 at rate
 0.1).  A batched route that formed X once per group, or skipped an
 audit, would break them.  The evaluators' l_values run only in audits.
+A traced thm2_report(method="oracle") over the same zeros reads no
+l_oracle and no x_factor call and a nonzero lfunc.oracle_batch_s: its
+values come through the wrapped criticalline.l_oracle_critical_batch.
 """
 
 import os
@@ -63,6 +66,13 @@ for rate, audits in ((1.0, n), (0.1, 1)):
         assert m["specfun.x_factor_calls"] == 2 * n + 2 * audits, (name, rate, m)
         assert m[layer + ".audit_calls"] == audits, (name, rate, m)
         assert m[layer + ".l_values_calls"] == audits, (name, rate, m)
+
+with tracer.root("thm2-oracle", "bench") as root:
+    criticalline.thm2_report(zeros, 50.0, cfg, method="oracle")
+m = spans.layer_metrics(tracer.spans, root, 0, meanvalues._SIEVE_CHUNK)
+assert m["lfunc.oracle_calls"] == 0, m
+assert m["specfun.x_factor_calls"] == 0, m
+assert m["lfunc.oracle_batch_s"] > 0, m
 """
 
 

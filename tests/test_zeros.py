@@ -99,6 +99,15 @@ def test_counts(zeros100):
         zeros100.count(200.0)
 
 
+def test_count_rejects_nan(zeros100):
+    # searchsorted places nan after every ordinate, so N(nan) used to be
+    # the whole table
+    with pytest.raises(PreconditionError):
+        zeros100.count(float("nan"))
+    with pytest.raises(PreconditionError):
+        zeros100.up_to(float("nan"))
+
+
 def test_missed_zeros_fail_both_scans(monkeypatch):
     # a gap audit that drops every other zero leaves the count far outside
     # the RvM band on the first scan and on the denser rescan
