@@ -28,12 +28,15 @@ def rational_point(value) -> Fraction:
     """Normalise a sample point to an exact Fraction > 1.
 
     Accepts Fraction, int, or a string like "15/2"; a zero denominator
-    is a PreconditionError.
+    or a point without a finite float value is a PreconditionError.
     """
     try:
         x = Fraction(value)
+        float(x)  # the zero sum takes x^{1/2} in floating point
     except ZeroDivisionError:
         raise PreconditionError(f"sample point has a zero denominator: {value!r}") from None
+    except (OverflowError, ValueError) as exc:
+        raise PreconditionError(f"sample point {value!r} is not a finite number: {exc}") from None
     if x <= 1:
         raise PreconditionError(f"sample point must exceed 1, got {x}")
     return x

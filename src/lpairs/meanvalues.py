@@ -50,7 +50,7 @@ from .specfun import hurwitz_zeta_certified, x_factor
 from .summation import neumaier_sum, neumaier_sum_complex
 from .zeros import ZeroTable
 
-_SIEVE_CHUNK = 1 << 21
+_SIEVE_CHUNK = 1 << 16  # residues per sieve chunk and floats per grid block
 _SERIES_TAIL_TOL = 9e-9  # Abel tail bound of the series route of D and E
 
 
@@ -345,10 +345,10 @@ def _series_route(series: CoefficientSeries, sigma: float,
     the chunk's support is summed over every period k in blocks, each one
     float grid, a row per residue, of at most one chunk, whose row sums
     are dotted with a_r.  Only the last period can pass N (r - r_lo < M),
-    and its entries beyond N become +inf, so their power is 0.  A chunk's
-    sieve and grid are freed before the next chunk is sieved, so memory
-    stays at one chunk for every period (M = 900 for 3:1, 5:2, P = 5;
-    5,336,100 at P = 11).
+    and its entries beyond N become +inf, so their power is 0.  Every grid
+    is filled in place into one buffer of _SIEVE_CHUNK floats, allocated
+    once per call, so memory stays at one cache-sized chunk for every
+    period (M = 900 for 3:1, 5:2, P = 5; 5,336,100 at P = 11).
     """
     bpoly = series.bpoly
     inner, other = series.inner, series.other
@@ -370,7 +370,7 @@ def _series_route(series: CoefficientSeries, sigma: float,
 
     def sieve(n: np.ndarray) -> np.ndarray:
         """a_n for an int64 array of n."""
-        acc = other_conj[n % mod_other].copy()
+        acc = other_conj[n % mod_other]  # fancy indexing copies
         m = n.copy()
         dead = np.zeros(len(n), dtype=bool)
         for p in bpoly.primes:
@@ -387,22 +387,25 @@ def _series_route(series: CoefficientSeries, sigma: float,
     r_max = min(period - 1, n_limit)
 
     partials = []
+    buffer = np.empty(_SIEVE_CHUNK)
     for r_lo in range(1, r_max + 1, _SIEVE_CHUNK):
         residues = np.arange(r_lo, min(r_lo + _SIEVE_CHUNK, r_max + 1), dtype=np.int64)
         weights = sieve(residues)
         support = np.flatnonzero(weights)
+        if not len(support):
+            continue  # a short last chunk can hold only zero coefficients
         residues, weights = residues[support].astype(float), weights[support]
         k_last = (n_limit - r_lo) // period
-        k_block = _SIEVE_CHUNK // len(residues)  # >= 1, as 0 < |support| <= chunk
+        k_block = _SIEVE_CHUNK // len(residues)  # >= 1, as |support| <= chunk
         for k_lo in range(0, k_last + 1, k_block):
             k_hi = min(k_lo + k_block, k_last + 1)
-            grid = residues[:, None] + np.arange(k_lo, k_hi, dtype=float)[None, :] * period
+            grid = buffer[:len(residues) * (k_hi - k_lo)].reshape(len(residues), -1)
+            np.add(residues[:, None], np.arange(k_lo, k_hi, dtype=float) * period, out=grid)
             if k_hi > k_last:
                 last = grid[:, -1]
                 last[last > n_limit] = np.inf
-            grid **= -2.0 * sigma
+            np.power(grid, -2.0 * sigma, out=grid)
             partials.append(grid.sum(axis=1) @ weights)
-        del residues, weights, support, grid  # before the next chunk is sieved
     value = neumaier_sum_complex(partials)
     tail = structural * (n_limit + 1.0) ** (-2.0 * sigma)
     return value, tail + 1e-12, n_limit

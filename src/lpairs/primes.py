@@ -9,11 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+from .errors import PreconditionError
+
+# Deterministic Miller-Rabin witness set: the first 13 primes decide every
+# n below psi_13, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017).  psi_12 = 318665857834031151167461 passes
+# the bases 2..37, so 41 cannot be dropped.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981  # psi_13
 
 
 def is_prime(n: int) -> bool:
+    """Exact primality for n < psi_13 ~ 3.3e24; larger n without a small
+    factor are a PreconditionError, as the test would not be proven."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -21,6 +29,9 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    if n >= _MR_EXACT_BELOW:
+        raise PreconditionError(
+            f"is_prime is proven only below {_MR_EXACT_BELOW}, got {n}")
     d = n - 1
     r = 0
     while d % 2 == 0:

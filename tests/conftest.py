@@ -44,6 +44,16 @@ DUAL_WINDOW_ALLOWANCE = 1.0
 
 
 @pytest.fixture(scope="session")
+def src_env():
+    """Environment for a child interpreter: it imports lpairs from this
+    checkout's src/, as pytest's pythonpath does, installed or not."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+@pytest.fixture(scope="session")
 def chi3():
     return character(3, 1)
 

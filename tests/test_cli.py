@@ -48,6 +48,14 @@ def test_config_error_zero_denominator_x(zero_file, x, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_config_error_x_beyond_float_range(tmp_path, capsys):
+    # float(1e400) used to end in an OverflowError traceback; the point is
+    # refused before the (here missing) zero file is read
+    missing = str(tmp_path / "nowhere.txt")
+    assert run(["landau", "--x", "1e400", "--T", "100", "--zeros", missing]) == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_config_error_nonprime_modulus(zero_file):
     assert run(["thm1", "--char1", "4:1", "--char2", "5:2",
                 "--zeros", zero_file, "--T", "100"]) == 1
@@ -244,9 +252,9 @@ def test_numerics_error_maps_to_exit_2(zero_file, monkeypatch):
                 "--seed-check"]) == 2
 
 
-def test_console_entry_point():
+def test_console_entry_point(src_env):
     proc = subprocess.run([sys.executable, "-m", "lpairs.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0
 
 

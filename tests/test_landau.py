@@ -12,7 +12,7 @@ from lpairs.landau import (
     rational_point,
     von_mangoldt,
 )
-from lpairs.primes import prime_power, prime_powers_upto
+from lpairs.primes import is_prime, prime_power, prime_powers_upto
 from lpairs.summation import neumaier_sum_complex
 
 
@@ -31,6 +31,29 @@ def test_rational_point_rejects_zero_denominator(text):
     # Fraction raises ZeroDivisionError, which the CLI would not map to exit 1
     with pytest.raises(PreconditionError):
         rational_point(text)
+
+
+@pytest.mark.parametrize("value", ["1e400", 10 ** 400, math.inf, math.nan],
+                         ids=["1e400", "10**400", "inf", "nan"])
+def test_rational_point_rejects_non_finite_float(value):
+    # the zero sum takes float(x) ** 0.5, which overflowed at 1e400
+    with pytest.raises(PreconditionError):
+        rational_point(value)
+
+
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
+def test_is_prime_strong_pseudoprimes():
+    # psi_12 passes the Miller-Rabin bases 2..37 and fails base 41;
+    # psi_13 passes 2..41, so the witness set cannot decide it
+    assert not is_prime(PSI_12)
+    assert von_mangoldt(PSI_12) == 0.0
+    with pytest.raises(PreconditionError):
+        is_prime(PSI_13)
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime(PSI_13 + 1)  # even: decided by trial division
 
 
 def test_von_mangoldt_prime_powers():

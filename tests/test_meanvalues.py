@@ -446,11 +446,12 @@ class TestSeriesRoute:
     @pytest.mark.parametrize("index", [2, 1])
     @pytest.mark.parametrize("kind", ["d", "e"])
     def test_chunk_invariance(self, chi3, cutoff, index, kind, monkeypatch):
-        # the same series with the residues sieved in chunks of 512 and 1024
-        # and in the default chunk: at cutoff 5 a chunk of 512 < M splits the
-        # residues in two and 1024 >= M sums them in blocks of 2 periods; at
-        # cutoff 7 (N > M) both split them into chunks whose last period is
-        # k = 1 below r = N - M and k = 0 above it
+        # the same series with the residues sieved in chunks of 512, 1024 and
+        # 2^21 and in the default chunk: at cutoff 5 a chunk of 512 < M splits
+        # the residues in two and 1024 >= M sums them in blocks of 2 periods;
+        # at cutoff 7 (N > M) both split them into chunks whose last period
+        # is k = 1 below r = N - M and k = 0 above it; 2^21 sieves every
+        # residue in one chunk
         import lpairs.meanvalues as mv
         # N = 9,732 (5:2), 5,304 (5:1) at cutoff 5; 71,703, 55,821 at cutoff 7
         sigma = 0.75
@@ -459,8 +460,38 @@ class TestSeriesRoute:
         default = mv._series_route(series, sigma, tol_tail)
         n_terms = default[2]
         assert n_terms > period and n_terms % period
-        for chunk in (512, 1024):
+        for chunk in (512, 1024, 1 << 21):
             monkeypatch.setattr(mv, "_SIEVE_CHUNK", chunk)
             chunked = mv._series_route(series, sigma, tol_tail)
             assert chunked[1:] == default[1:]
             assert abs(chunked[0] - default[0]) < 1e-13
+
+    def test_chunk_of_zero_coefficients_is_skipped(self, chi3, monkeypatch):
+        # cutoff 11 has N = 5,284 < M, and a_5284 = 0 (4 | 5284): chunks of
+        # 587 leave 5,284 alone in the last one, whose empty support must be
+        # skipped, not divided by
+        import lpairs.meanvalues as mv
+        series = CoefficientSeries("d", build_b_polynomial(11, chi3, character(5, 2)))
+        default = mv._series_route(series, 0.75, 1e-3)
+        assert default[2] == 5284
+        monkeypatch.setattr(mv, "_SIEVE_CHUNK", 587)
+        chunked = mv._series_route(series, 0.75, 1e-3)
+        assert chunked[1:] == default[1:]
+        assert abs(chunked[0] - default[0]) < 1e-13
+
+    @pytest.mark.parametrize("cutoff, sigma", [(5, 0.75), (11, 0.9)])
+    def test_memory_stays_at_one_chunk(self, chi3, cutoff, sigma):
+        # one sieve chunk (about 42 bytes per residue) and one grid buffer
+        # of _SIEVE_CHUNK floats stay under 8 MB, here at N = 4.8e6 (M = 900)
+        # and N = 8.0e5 < M
+        import tracemalloc
+
+        from lpairs.meanvalues import _series_route
+        series = CoefficientSeries("d", build_b_polynomial(cutoff, chi3, character(5, 2)))
+        tracemalloc.start()
+        try:
+            _series_route(series, sigma, 9e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6, peak

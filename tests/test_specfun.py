@@ -467,6 +467,6 @@ class TestRiemannSiegel:
         assert np.array_equal(specfun._hardy_z_batch(ts), specfun._hardy_z_em(ts, 1e-11))
 
 
-def test_import_does_not_load_mpmath():
+def test_import_does_not_load_mpmath(src_env):
     code = "import sys, lpairs; sys.exit('mpmath' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=src_env).returncode == 0
