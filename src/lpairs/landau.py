@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .primes import prime_power, prime_powers_upto
+from .primes import prime_power
 from .summation import neumaier_sum_complex
 from .zeros import ZeroTable
 
@@ -58,19 +58,23 @@ def von_mangoldt(x) -> float:
 def nearest_pp_distance(x) -> Fraction:
     """<x>: exact distance to the nearest prime power p^k != x.
 
-    Scans prime powers up to 2*ceil(x) + 1; that window provably
-    contains the minimiser (Bertrand gives a prime in (ceil x, 2 ceil x),
-    and anything beyond the window is farther than that prime).
+    Scans the integers outward from x, testing each with the exact
+    prime_power, and stops at the first prime power above x and at the
+    first one below it that is nearer.  Bertrand's postulate puts a
+    prime in (m, 2m) for m = floor(x) + 1 >= 2, so the upward scan ends
+    within m steps; in practice it ends after a prime gap, O(log^2 x)
+    integers.
     """
     x = rational_point(x)
-    hi = 2 * math.ceil(x) + 1
-    best = None
-    for v in prime_powers_upto(hi):
-        if x == v:
-            continue
-        d = abs(x - v)
-        if best is None or d < best:
-            best = d
+    above = math.floor(x) + 1
+    while prime_power(above) is None:
+        above += 1
+    best = above - x
+    below = math.ceil(x) - 1
+    while below >= 2 and x - below < best:
+        if prime_power(below) is not None:
+            return x - below
+        below -= 1
     return best
 
 

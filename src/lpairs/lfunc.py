@@ -26,8 +26,8 @@ every height up to T.
 l_oracle is the slow independent evaluator through Hurwitz zeta:
 L(s, chi) = q^{-s} sum_{a=1}^{q} chi(a) zeta(s, a/q), certified to 1e-9.
 That sum has one implementation, l_via_hurwitz(table, sigma, ts, tol):
-any sigma, a batch of heights, one Euler-Maclaurin kernel call per
-nonzero shift, each with the N = specfun._hurwitz_terms(max|t|, sigma,
+any sigma, a batch of heights, one Euler-Maclaurin kernel call over all
+the nonzero shifts, with the N = specfun._hurwitz_terms(max|t|, sigma,
 tol) at which the kernel's Backlund remainder bound meets tol (about
 0.24 max|t| in the critical strip).  It also serves the Euler-product
 route of the limit constants, at t = 0.  The oracle contract
@@ -183,23 +183,22 @@ def l_afe(s, chi: DirichletCharacter, delta: float = 1.0) -> LValue:
 def l_via_hurwitz(table, sigma: float, ts, tol: float) -> tuple[np.ndarray, float]:
     """m^{-s} sum_a table[a] zeta(s, a/m) at s = sigma + i t for a batch
     of heights and a period-m value table, with the certified zeta bounds
-    summed and scaled by m^{-sigma}.  One kernel call per nonzero shift,
-    each with the N that _hurwitz_terms gives the batch's largest |t|;
+    summed and scaled by m^{-sigma}.  One kernel call over every nonzero
+    shift, with the N that _hurwitz_terms gives the batch's largest |t|;
     the Backlund orders behind N and every shift's truncation are formed
-    once."""
+    once.  The shifts' values and bounds are added in shift order."""
     ts = np.asarray(ts, dtype=float)
     tmax = float(np.max(np.abs(ts)))
     orders = _backlund_orders(tmax, sigma)
     n_terms = _hurwitz_terms(tmax, sigma, tol, orders)
     m = len(table)
+    nonzero = [a for a in range(1, m) if table[a] != 0]
+    values, bounds = _hurwitz_critical_batch(ts, np.array(nonzero) / m, tol, sigma,
+                                             n_terms, orders)
     total = np.zeros(len(ts), dtype=complex)
     bound = 0.0
-    for a in range(1, m):
-        ca = table[a]
-        if ca == 0:
-            continue
-        vals, b = _hurwitz_critical_batch(ts, a / m, tol, sigma, n_terms, orders)
-        total += ca * vals
+    for a, vals, b in zip(nonzero, values, bounds.tolist()):
+        total += table[a] * vals
         bound += b
     return np.exp(-(sigma + 1j * ts) * math.log(m)) * total, m ** -sigma * bound
 

@@ -9,17 +9,20 @@ explicit Backlund remainder bound plus a rounding allowance, and the
 certified-bound variants return that bound alongside the value.
 
 Only double precision is used.  Euler-Maclaurin has one body,
-_hurwitz_critical_batch(ts, a, tol, sigma, n_terms), which sums its N
-main-sum terms one height at a time in one N-term buffer.  numpy
-releases the GIL over each row, so threads can run batches side by side.
+_hurwitz_critical_batch(ts, shifts, tol, sigma, n_terms), which sums its
+N main-sum terms one height at a time for every shift a at once, in one
+shifts x N buffer, and forms the Bernoulli corrections' Pochhammer
+products once for all the shifts; an L-value is one pass over its
+character's nonzero shifts.  numpy releases the GIL over each row, so
+threads can run batches side by side.
 N has two rules.  The Hurwitz L-route and the scalar Hurwitz zeta take
 _hurwitz_terms(max|t|, sigma, tol), the least N at which the kernel's
 own Backlund bound meets tol (about 0.24 max|t| in the critical strip).
 The zero engine's Z takes _em_terms(max|t|) = 0.62 max|t| + 8, because
 the committed zero tables pin its bits: at the shorter N some ordinates
 move by up to 1e-10.
-The scalar routes are batches of one height: hurwitz_zeta, zeta_em
-(a = 1) and hardy_z, which is _hardy_z_em on one height.  The zero
+The scalar routes are batches of one height and one shift: hurwitz_zeta,
+zeta_em (a = 1) and hardy_z, which is _hardy_z_em on one height.  The zero
 engine's Z below t = 200 is _hardy_z_em too.  From t = 200 the zero
 engine's batched Z takes the Riemann-Siegel formula with the corrections
 C_0..C_4 (about sqrt(t/2pi) terms) and certifies each value with
@@ -89,6 +92,9 @@ _B2K_OVER_FACT = np.array((
 ))
 _LOG_B2K = np.log(np.abs(_B2K_OVER_FACT))
 _TAIL_BLOCK = 32  # heights per block of the Bernoulli corrections (K x block values)
+_STEPS = np.arange(64.0)  # j in s + j, the factors of the Pochhammer products
+_TWO_K = 2.0 * np.arange(1, 33)[:, None]  # 2k in the exponents -s - 2k + 1
+_ORDERS = np.arange(2, 32)  # the orders k at which the kernel may stop
 
 # Riemann-Siegel corrections C_0..C_4 as polynomials in x = p - 1/2, with
 # p = frac(sqrt(t / 2pi)).  They come from the Taylor coefficients at
@@ -245,14 +251,13 @@ def _backlund_orders(tmax: float, sigma: float):
     double (from |t| ~ 6e4) are left out, since the kernel cannot form
     them.  A factor s + j = 0 makes C_k = 0: the expansion is exact.
     """
-    k = np.arange(2, 32)
-    p = sigma + 2 * k + 1
+    p = sigma + 2 * _ORDERS + 1
     with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(complex(sigma, tmax) + np.arange(64.0)))
-    log_poch = np.cumsum(log_abs)[2 * k]
+        log_abs = np.log(np.abs(complex(sigma, tmax) + _STEPS))
+    log_poch = np.add.accumulate(log_abs)[2 * _ORDERS]
     keep = (p > 0) & (log_poch < 700.0)
-    k, p = k[keep], p[keep]
-    log_c = _LOG_B2K[k] + log_abs[2 * k + 1] - np.log(p) + log_poch[keep]
+    k, p, log_poch = _ORDERS[keep], p[keep], log_poch[keep]
+    log_c = _LOG_B2K[k] + log_abs[2 * k + 1] - np.log(p) + log_poch
     return k, p, log_c
 
 
@@ -272,27 +277,70 @@ def _hurwitz_terms(tmax: float, sigma: float, tol: float, orders=None) -> int:
     return max(20, math.ceil(math.exp(float(np.min((log_c - math.log(tol)) / p)))) + 1)
 
 
-def _hurwitz_critical_batch(ts: np.ndarray, a: float, tol: float, sigma: float,
+def _power_sums(ts: np.ndarray, shifts: np.ndarray, sigma: float, n_terms: int):
+    """(sums, squares): the Euler-Maclaurin main sums
+    sum_{n<N} (n + a)^{-sigma} e^{-i t log(n + a)}, shifts x heights, and
+    each shift's sum_{n<N} (n + a)^{-2 sigma} for the rounding allowance.
+
+    One height per pass, formed in place in one shifts x N buffer: each
+    row's pairwise sum (a fixed reduction order; BLAS matvec would not be
+    reproducible) equals that row of a whole-batch pass, without the
+    batch x N temporaries, and the N-term arrays are freed on return,
+    before the kernel's tail.  The phases go into the cos rows, sin reads
+    them, cos overwrites them: contiguous rows run twice as fast as the
+    buffer's strided halves, and one product by the amplitudes moves them
+    into the halves, the bits of the complex exp times the amplitude.
+    0.0 - t keeps the phase +0 at t = 0.
+    """
+    base = np.arange(n_terms, dtype=float) + shifts[:, None]
+    squares = np.add.reduce(base ** (-2.0 * sigma), axis=1).tolist()
+    logb = np.log(base)
+    amp = base ** -sigma
+    del base  # the buffers below can take its memory
+    sums = np.empty((len(ts), len(shifts)), dtype=complex)
+    cos_sin = np.empty((2,) + logb.shape)
+    cos, sin = cos_sin[0], cos_sin[1]
+    terms = np.empty(logb.shape, dtype=complex)
+    halves = terms.view(float).reshape(logb.shape + (2,)).transpose(2, 0, 1)
+    for neg_t, value in zip((0.0 - ts).tolist(), sums):
+        np.multiply(neg_t, logb, out=cos)
+        np.sin(cos, out=sin)
+        np.cos(cos, out=cos)
+        np.multiply(cos_sin, amp, out=halves)
+        np.add.reduce(terms, axis=1, out=value)
+    return sums.T, squares
+
+
+def _hurwitz_critical_batch(ts: np.ndarray, shifts, tol: float, sigma: float,
                             n_terms: int, orders=None):
-    """zeta(sigma + i t, a) over a batch of heights, with one shared truncation.
+    """zeta(sigma + i t, a) over a batch of heights and a batch of shifts a,
+    with one shared truncation.
 
     The one Euler-Maclaurin body of the workbench: the scalar routes call
-    it on a batch of one height.  n_terms = N terms form the main sum
-    sum_n (n + a)^{-sigma} e^{-i t log(n + a)} one height at a time, so
-    memory is O(N) for any batch.  Callers size N for the batch's largest
-    height, so they should batch heights in narrow windows: the L-route
-    and the scalar Hurwitz zeta take _hurwitz_terms, the least N its
-    remainder bound accepts; the zero engine's Z takes _em_terms, which
+    it on one height and one shift, the L-route on all the nonzero shifts
+    of its character.  n_terms = N terms form the main sum
+    sum_n (n + a)^{-sigma} e^{-i t log(n + a)} one height at a time, for
+    every shift at once, in one shifts x N buffer (_power_sums), so memory
+    is O(shifts N) for any batch of heights.  Each term's phase
+    -t log(n + a) is a real product, and cos and sin fill the real and
+    imaginary halves of the buffer: the bits of the complex exp of i times
+    that phase.
+    Callers size N for the batch's largest height, so they should batch
+    heights in narrow windows: the L-route and the scalar Hurwitz zeta take
+    _hurwitz_terms, the least N its remainder bound accepts (N + a > N, so
+    one N serves every shift); the zero engine's Z takes _em_terms, which
     its committed tables pin.
     The truncation remainder after K Bernoulli corrections is bounded by
     Backlund's estimate |(s+2K+1)/(sigma+2K+1)| * |next term|, valid for
-    sigma + 2K + 1 > 0, with K the first order of _backlund_orders where
-    that bound is <= tol at the batch's largest height, and so at every
-    height; orders is _backlund_orders(max|ts|, sigma) when the caller
-    has it (the L-route forms it once for all its shifts).  The K
-    corrections are formed side by side, one row per order, for blocks of
-    _TAIL_BLOCK heights, so a batch of one height costs a few dozen numpy
-    calls whatever K is.
+    sigma + 2K + 1 > 0, with K, for each shift, the first order of
+    _backlund_orders where that bound is <= tol at the batch's largest
+    height, and so at every height; orders is _backlund_orders(max|ts|,
+    sigma) when the caller has it.  The K corrections are formed side by
+    side, one row per order, for blocks of _TAIL_BLOCK heights: the
+    Pochhammer products do not depend on a, so one set serves every
+    shift, and a shift that stops at a lower order takes a prefix of the
+    rows.  A batch of one height costs a few dozen numpy calls whatever
+    K is.
     A root-sum-square rounding allowance for the oscillatory power sums
     (phase error ~ |t| log n * eps per term) is added with a factor-4
     margin.  The tail terms (the integral, the half term and the K
@@ -300,62 +348,76 @@ def _hurwitz_critical_batch(ts: np.ndarray, a: float, tol: float, sigma: float,
     eps (2 (|s| + 2K) log(N + a) + 7K + 8) of its size (the power's
     phase t log(N + a), the Pochhammer product), and each of the K + 3
     additions into the value by eps |value|.
-    Returns (values, worst certified bound).
+    Returns (values, bounds): values[j, i] is zeta(sigma + i ts[i],
+    shifts[j]) and bounds[j] the worst certified bound of shift j; each
+    row has the bits of a call on that shift alone.
     """
-    tmax = float(np.max(np.abs(ts)))
-    base = np.arange(n_terms, dtype=float) + a
-    logb = np.log(base)
-    amp = base ** -sigma
-    # one row per pass, formed in place in one N-term buffer: each row's
-    # pairwise sum (a fixed reduction order; BLAS matvec would not be
-    # reproducible) equals that row of a whole-batch pass, without the
-    # batch x N temporaries
-    values = np.empty(len(ts), dtype=complex)
-    row = np.empty(n_terms, dtype=complex)
-    for i in range(len(ts)):
-        np.multiply(-1j * ts[i], logb, out=row)
-        np.exp(row, out=row)
-        np.multiply(row, amp, out=row)
-        values[i] = row.sum()
+    shifts = np.asarray(shifts, dtype=float)
+    tmax = float(np.maximum.reduce(np.abs(ts)))
+    values, squares = _power_sums(ts, shifts, sigma, n_terms)
     s = sigma + 1j * ts
-    na = float(n_terms + a)
-    integral = na ** (1.0 - s) / (s - 1.0)
-    half = 0.5 * na ** (-s)
+    na = [n_terms + a for a in shifts.tolist()]
+    # N + a as a complex column: each power then skips a cast
+    na_c = np.array(na, dtype=complex)[:, None]
+    integral = na_c ** (1.0 - s) / (s - 1.0)
+    half = 0.5 * na_c ** (-s)
     values += integral + half
     tail = np.abs(integral) + np.abs(half)
 
+    # math.log and math.exp: np.log and np.exp round some doubles differently
+    log_na = np.array([[math.log(x)] for x in na])
     k, p, log_c = _backlund_orders(tmax, sigma) if orders is None else orders
-    log_trunc = log_c - p * math.log(na)
-    stops = np.nonzero(log_trunc <= math.log(tol))[0]
-    if len(stops) == 0:
+    log_trunc = log_c - p * log_na
+    meets = log_trunc <= math.log(tol)
+    reached = np.logical_or.reduce(meets, axis=1).tolist()
+    if not all(reached):
+        a = float(shifts[reached.index(False)])
         raise AccuracyLoss(f"Euler-Maclaurin remainder did not reach {tol:g} at "
                            f"sigma={sigma}, |t| <= {tmax}, a={a}, N={n_terms}")
-    order = int(k[stops[0]])
-    trunc = math.exp(log_trunc[stops[0]])
+    stop = meets.argmax(axis=1)
+    log_cut = [row[j] for row, j in zip(log_trunc.tolist(), stop.tolist())]
+    order = k[stop]
+    # shifts grouped by order: a group takes exactly the first rows of the
+    # corrections (numpy sums the rows of a one-height block pairwise, so
+    # rows of zeros past a lower order would move its bits), and each
+    # shift gets the bits of a call on it alone
+    distinct = sorted(set(order.tolist()))
+    top = distinct[-1]
+    groups = ([(o, order == o) for o in distinct] if len(distinct) > 1
+              else [(top, slice(None))])
+    na_c = na_c[:, :, None]
     for lo in range(0, len(ts), _TAIL_BLOCK):
-        sb, vb = s[lo:lo + _TAIL_BLOCK], values[lo:lo + _TAIL_BLOCK]
+        sb = s[lo:lo + _TAIL_BLOCK]
         # row k - 1 is order k: B_2k / (2k)! s (s + 1) ... (s + 2k - 2)
         # (N + a)^(-s - 2k + 1).  The committed zero tables pin the bits of
         # this order: products one factor at a time, left to right (np.cumprod
         # rounds differently), exponents -s - 1 and -s - 2k + 1, then a
         # running sum
-        factors = sb + np.arange(2.0 * order - 1.0)[:, None]
-        terms = np.empty((order, len(sb)), dtype=complex)
-        terms[0] = sb
-        for m in range(1, order):
-            np.multiply(terms[m - 1] * factors[2 * m - 1], factors[2 * m], out=terms[m])
-        powers = -sb - 2.0 * np.arange(1, order + 1)[:, None] + 1.0
-        powers[0] = -sb - 1.0
-        terms *= _B2K_OVER_FACT[:order, None]
-        terms *= np.power(na, powers, out=powers)
-        vb[:] = np.cumsum(np.vstack((vb, terms)), axis=0)[-1]
-        tail[lo:lo + _TAIL_BLOCK] += np.sum(np.abs(terms), axis=0)
-    rounding = (_EPS * (tmax + 2.0) * math.log(na + 2.0)
-                * math.sqrt(float(np.sum(base ** (-2.0 * sigma))) + 1.0))
-    tail_rounding = _EPS * float(np.max(
-        (2.0 * (np.abs(s) + 2 * order) * math.log(na) + 7 * order + 8) * tail
-        + (order + 3) * np.abs(values)))
-    return values, trunc + 4.0 * rounding + tail_rounding
+        factors = sb + _STEPS[:2 * top - 1, None]
+        corr = np.empty((top, len(sb)), dtype=complex)
+        corr[0] = sb
+        for m in range(1, top):
+            np.multiply(corr[m - 1] * factors[2 * m - 1], factors[2 * m], out=corr[m])
+        neg_s = -sb
+        powers = neg_s - _TWO_K[:top] + 1.0
+        powers[0] = neg_s - 1.0
+        corr *= _B2K_OVER_FACT[:top, None]
+        corr = corr * np.power(na_c, powers)
+        vb, tb = values[:, lo:lo + _TAIL_BLOCK], tail[:, lo:lo + _TAIL_BLOCK]
+        for o, rows in groups:
+            part = corr[rows, :o]
+            vb[rows] = np.add.accumulate(np.concatenate((vb[rows, None], part), axis=1),
+                                         axis=1)[:, -1]
+            tb[rows] += np.add.reduce(np.abs(part), axis=1)
+    order_col = order[:, None].astype(float)
+    tail_max = np.maximum.reduce(
+        (2.0 * (np.abs(s) + 2.0 * order_col) * log_na + 7.0 * order_col + 8.0) * tail
+        + (order_col + 3.0) * np.abs(values), axis=1).tolist()
+    # each shift's truncation, rounding and tail rounding, added as floats
+    rounding = _EPS * (tmax + 2.0)
+    bounds = [math.exp(cut) + 4.0 * (rounding * math.log(x + 2.0) * math.sqrt(sq + 1.0))
+              + _EPS * worst for cut, x, sq, worst in zip(log_cut, na, squares, tail_max)]
+    return values, np.array(bounds)
 
 
 def hurwitz_zeta(s, a) -> complex:
@@ -373,10 +435,10 @@ def hurwitz_zeta_certified(s, a) -> tuple[complex, float]:
     a = float(a)
     if not 0.0 < a <= 1.0:
         raise DomainTooSmall(f"shift a must lie in (0, 1], got {a}")
-    values, bound = _hurwitz_critical_batch(
-        np.array([s.imag]), a, _SCALAR_TOL, s.real,
+    values, bounds = _hurwitz_critical_batch(
+        np.array([s.imag]), [a], _SCALAR_TOL, s.real,
         _hurwitz_terms(abs(s.imag), s.real, _SCALAR_TOL))
-    return complex(values[0]), bound
+    return complex(values[0, 0]), float(bounds[0])
 
 
 def zeta_em(s) -> complex:
@@ -468,9 +530,9 @@ def _rs_z_batch(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _hardy_z_em(ts: np.ndarray, tol: float) -> np.ndarray:
     """Euler-Maclaurin Z over an ascending batch; the imaginary residue of
     e^{i theta} zeta is an accuracy check (AccuracyLoss above 1e-6)."""
-    zeta_vals, _ = _hurwitz_critical_batch(ts, 1.0, tol, 0.5,
+    zeta_vals, _ = _hurwitz_critical_batch(ts, [1.0], tol, 0.5,
                                            _em_terms(float(np.max(np.abs(ts)))))
-    z = np.exp(1j * riemann_siegel_theta(ts)) * zeta_vals
+    z = np.exp(1j * riemann_siegel_theta(ts)) * zeta_vals[0]
     worst = float(np.max(np.abs(z.imag)))
     if worst > 1e-6:
         raise AccuracyLoss(f"batch Z imaginary residue {worst:.3e}")

@@ -258,6 +258,14 @@ def test_console_entry_point(src_env):
     assert proc.returncode == 0
 
 
+def test_package_runs_as_a_module(src_env):
+    # a checkout runs the CLI as python -m lpairs, without pip install
+    proc = subprocess.run([sys.executable, "-m", "lpairs", "--version"],
+                          capture_output=True, text=True, env=src_env)
+    assert proc.returncode == 0
+    assert proc.stdout.strip()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "100,inf", "-inf"])
 def test_config_error_non_finite_t(zero_file, value):
     with pytest.raises(argparse.ArgumentTypeError):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,24 @@ def test_nearest_pp_distance_is_exact_fraction():
     pps = [v for v in prime_powers_upto(2100)]
     best = min(abs(Fraction(100001, 100) - v) for v in pps)
     assert d == best
+
+
+def test_nearest_pp_distance_matches_brute_force():
+    # the outward scan against the minimum over every prime power up to
+    # 2x + 1, at every half and integer x in [3/2, 2000], prime powers
+    # among them; in units of 1/2, so the minimum is integer arithmetic
+    doubled = [2 * v for v in prime_powers_upto(4001)]
+    for x2 in range(3, 4001):
+        best = min(abs(x2 - v2) for v2 in doubled if v2 != x2)
+        assert nearest_pp_distance(Fraction(x2, 2)) == Fraction(best, 2), x2
+
+
+def test_nearest_pp_distance_is_fast_far_out():
+    # the sieve up to 2x + 1 used to take seconds from x ~ 1e6
+    start = time.perf_counter()
+    d = nearest_pp_distance(Fraction(2 * 10 ** 12 + 1, 2))
+    assert time.perf_counter() - start < 1.0
+    assert d.denominator == 2
 
 
 def test_zero_sum_empty_below_first_zero(zeros100):

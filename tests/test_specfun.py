@@ -231,6 +231,14 @@ def _one_shot_kernel(ts, a, tol, sigma, n_terms):
     raise AssertionError("the reference tail did not converge")
 
 
+def _stop_orders(tmax, sigma, shifts, n_terms, tol=1e-11):
+    """The order at which the kernel stops for each shift: the first order
+    of _backlund_orders whose remainder bound at N + a meets tol."""
+    k, p, log_c = specfun._backlund_orders(tmax, sigma)
+    return [int(k[np.argmax(log_c - p * math.log(n_terms + a) <= math.log(tol))])
+            for a in shifts]
+
+
 class TestEulerMaclaurinKernel:
     @pytest.mark.parametrize("t0", [14.0, 4800.0, 9900.0])
     @pytest.mark.parametrize("sigma", [0.5, 0.75])
@@ -241,28 +249,67 @@ class TestEulerMaclaurinKernel:
         ts = np.linspace(t0, t0 + 100.0, 512)
         for n_terms in (specfun._hurwitz_terms(t0 + 100.0, sigma, 1e-11),
                         specfun._em_terms(t0 + 100.0)):
-            values, _ = specfun._hurwitz_critical_batch(ts, a, 1e-11, sigma, n_terms)
-            assert np.array_equal(values, _one_shot_kernel(ts, a, 1e-11, sigma, n_terms))
+            values, _ = specfun._hurwitz_critical_batch(ts, [a], 1e-11, sigma, n_terms)
+            assert np.array_equal(values[0], _one_shot_kernel(ts, a, 1e-11, sigma, n_terms))
 
     def test_memory_is_one_height_of_terms(self):
-        # a whole-batch pass holds 512 x 6,208 complex temporaries (~100 MB)
-        # at the longer of the two main sums, Z's
+        # a whole-batch pass holds 512 x 6,208 complex temporaries per shift
+        # (~50 MB) at the longer of the two main sums, Z's; the kernel holds
+        # one height's terms, shifts x N, for one shift and for the four
+        # of 5:2
         ts = np.linspace(9500.0, 1e4, 512)
-        tracemalloc.start()
-        try:
-            specfun._hurwitz_critical_batch(ts, 0.2, 1e-11, 0.5, specfun._em_terms(1e4))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2 ** 20
+        for shifts in ([0.2], [0.2, 0.4, 0.6, 0.8]):
+            tracemalloc.start()
+            try:
+                specfun._hurwitz_critical_batch(ts, shifts, 1e-11, 0.5,
+                                                specfun._em_terms(1e4))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < len(shifts) * 2 * 2 ** 20
+
+    @pytest.mark.parametrize("heights", [1, 512])
+    @pytest.mark.parametrize("sigma", [0.5, 0.75])
+    def test_multi_shift_call_equals_one_call_per_shift(self, sigma, heights):
+        # one pass over every shift gives each shift the values and the
+        # bound of a call on it alone, also where the shifts stop at
+        # different orders (the one-height tail sums pairwise)
+        ts = np.linspace(200.0, 100.0, heights)[::-1]
+        shifts = np.array([0.2, 0.4, 0.6, 0.8, 1.0 / 3.0, 2.0 / 3.0, 1.0])
+        n_terms = specfun._hurwitz_terms(200.0, sigma, 1e-11)
+        assert len(set(_stop_orders(200.0, sigma, shifts, n_terms))) > 1
+        values, bounds = specfun._hurwitz_critical_batch(ts, shifts, 1e-11, sigma, n_terms)
+        assert values.shape == (len(shifts), heights) and bounds.shape == (len(shifts),)
+        for j, a in enumerate(shifts):
+            alone, bound = specfun._hurwitz_critical_batch(ts, [a], 1e-11, sigma, n_terms)
+            assert np.array_equal(values[j], alone[0])
+            assert bounds[j] == bound[0]
+
+    def test_l_route_adds_the_shifts_in_order(self):
+        # one kernel call over the nonzero shifts: the sum of one call per
+        # shift, added in shift order, bit for bit
+        ts = np.linspace(9000.0, 9100.0, 40)
+        n_terms = specfun._hurwitz_terms(9100.0, 0.5, 1e-11)
+        for chi in (character(3, 1), character(5, 2)):
+            table = chi.value_table()
+            m = len(table)
+            values, bound = l_via_hurwitz(table, 0.5, ts, 1e-11)
+            total = np.zeros(len(ts), dtype=complex)
+            ref_bound = 0.0
+            for a in range(1, m):
+                vals, b = specfun._hurwitz_critical_batch(ts, [a / m], 1e-11, 0.5, n_terms)
+                total += table[a] * vals[0]
+                ref_bound += float(b[0])
+            assert np.array_equal(values, np.exp(-(0.5 + 1j * ts) * math.log(m)) * total)
+            assert bound == m ** -0.5 * ref_bound
 
     def test_remainder_sized_terms_stay_within_float_range(self):
         # at |t| = 1e5 the highest orders' Pochhammer products overflow, and
         # sizing N by them used to leave the kernel no order that converged
         got, bound = hurwitz_zeta_certified(complex(0.5, 1e5), 0.3)
         ref, ref_bound = specfun._hurwitz_critical_batch(
-            np.array([1e5]), 0.3, 1e-12, 0.5, specfun._em_terms(1e5))
-        assert abs(got - ref[0]) <= bound + ref_bound
+            np.array([1e5]), [0.3], 1e-12, 0.5, specfun._em_terms(1e5))
+        assert abs(got - ref[0, 0]) <= bound + ref_bound[0]
 
     def test_l_route_terms_come_from_the_remainder_bound(self):
         # the kernel meets tol at the N its own Backlund bound asks for,
@@ -272,12 +319,31 @@ class TestEulerMaclaurinKernel:
                 n_terms = specfun._hurwitz_terms(tmax, sigma, 1e-11)
                 assert n_terms <= 0.26 * tmax + 20
                 ts = np.array([tmax])
-                for a in (1.0, 1.0 / 3.0, 2.0 / 3.0, 0.2):
-                    specfun._hurwitz_critical_batch(ts, a, 1e-11, sigma, n_terms)
-                    if tmax >= 200.0:
-                        with pytest.raises(AccuracyLoss, match="did not reach"):
-                            specfun._hurwitz_critical_batch(ts, a, 1e-11, sigma,
-                                                            n_terms // 2)
+                shifts = [1.0, 1.0 / 3.0, 2.0 / 3.0, 0.2]
+                specfun._hurwitz_critical_batch(ts, shifts, 1e-11, sigma, n_terms)
+                if tmax >= 200.0:
+                    with pytest.raises(AccuracyLoss, match=r"did not reach .* a=1\.0,"):
+                        specfun._hurwitz_critical_batch(ts, shifts, 1e-11, sigma,
+                                                        n_terms // 2)
+
+    def test_refusal_names_the_shift_that_failed(self):
+        # N + a grows with a, so just below the least N a small shift fails
+        # where a larger one still passes; the refusal names the small one
+        ts = np.array([1e3])
+
+        def meets(a, n_terms):
+            try:
+                specfun._hurwitz_critical_batch(ts, [a], 1e-11, 0.5, n_terms)
+            except AccuracyLoss:
+                return False
+            return True
+
+        n_terms = specfun._hurwitz_terms(1e3, 0.5, 1e-11)
+        while meets(0.2, n_terms):
+            n_terms -= 1
+        assert meets(1.0, n_terms)
+        with pytest.raises(AccuracyLoss, match=r"a=0\.2,"):
+            specfun._hurwitz_critical_batch(ts, [1.0, 0.2], 1e-11, 0.5, n_terms)
 
 
 class TestHardyZ:
