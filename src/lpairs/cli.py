@@ -28,10 +28,10 @@ from .lfunc import l_afe, l_oracle
 from .meanvalues import (
     MeanValueReport,
     _audit_stride,
-    _check_sigma,
     _csv_row,
     _mollifier,
     _thm1_sweep,
+    predicted_constant,
 )
 from .specfun import hardy_z, zeta_em
 from .zeros import compute_zeros, load_zeros
@@ -143,12 +143,13 @@ def _cmd_thm1(args) -> None:
     chi1 = parse_character(args.char1)
     chi2 = parse_character(args.char2)
     _check_non_principal(chi1, chi2)
-    # validate before the zero table is loaded or computed
+    # validate before the zero table is loaded or computed; D and E too, as
+    # the series route refuses a sigma whose N it cannot sum
     bpoly = _mollifier(chi1, chi2, None if args.cutoff == "auto" else int(args.cutoff))
-    _check_sigma(args.sigma)
     _audit_stride(args.audit_rate)
+    predicted_c = predicted_constant(bpoly, args.sigma)
     _write_sweep(args, MeanValueReport.CSV_HEADER, lambda table: _thm1_sweep(
-        table, args.t_values, args.sigma, bpoly, args.audit_rate))
+        table, args.t_values, args.sigma, bpoly, predicted_c, args.audit_rate))
 
 
 def _cmd_thm2(args) -> None:

@@ -32,14 +32,12 @@ device; the workbench verifies the consequences by direct zero sums.
 Zeros are sampled at numerically computed ordinates, which lie on the
 critical line at desk heights, so rho = 1/2 + i gamma throughout.
 
-thm2_report is thm1_report with another statistic: the L-values at the
-zeros are lfunc.AfeWindows.values (ThmTwoEvaluator.rows); the zero loop,
-the audit verdict and the reducer are meanvalues._audited_rows,
-_check_audit and _cauchy_schwarz.  method "oracle" replaces the loop by
-one l_oracle_critical_batch call per character over the whole table,
-which lfunc runs in blocks on threads, and a per-height loop for B.
-Every reduction stays serial, so both routes give the same bits on any
-number of CPUs.
+thm2_report is thm1_report with another statistic: B = p^s and the
+zero loop are lfunc.PairEvaluator's, the audit verdict and the reducer
+meanvalues._check_audit and _cauchy_schwarz.  method "oracle" hands that
+loop one l_oracle_critical_batch array per character over the whole
+table, which lfunc runs in blocks on threads.  Every reduction stays
+serial, so both routes give the same bits on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -51,9 +49,8 @@ import numpy as np
 
 from .characters import DirichletCharacter, _check_non_principal, gauss_sum
 from .errors import PreconditionError, SearchExhausted
-from .lfunc import _GROUP_ROWS, AfeWindows, LValue, l_oracle, l_oracle_critical_batch
-from .meanvalues import (_audit_stride, _audited_rows, _cauchy_schwarz, _check_audit,
-                         _csv_row)
+from .lfunc import PairEvaluator, l_oracle, l_oracle_critical_batch
+from .meanvalues import _audit_stride, _cauchy_schwarz, _check_audit, _csv_row
 from .primes import is_prime
 # perfbench/spans.py wraps x_factor and neumaier_sum by this module's
 # attributes, so the names stay importable here
@@ -126,38 +123,23 @@ def make_config(chi1: DirichletCharacter, chi2: DirichletCharacter,
                               c1=c_constant(chi1, p), c2=c_constant(chi2, p))
 
 
-class ThmTwoEvaluator:
-    """Per-height evaluation of p^rho L(rho, chi_j) with Delta = 1 windows."""
+class ThmTwoEvaluator(PairEvaluator):
+    """(p^rho L(rho, chi1), p^rho L(rho, chi2)) at rho = 1/2 + i gamma: the
+    pair evaluator of B(s) = p^s, p^{1/2} e^{i gamma log p}, and Delta = 1."""
 
     def __init__(self, cfg: CriticalLineConfig, t_max: float):
-        self.cfg = cfg
-        self._win1 = AfeWindows(cfg.chi1, 0.5, 1.0, t_max)
-        self._win2 = AfeWindows(cfg.chi2, 0.5, 1.0, t_max)
-        self._log_p = math.log(cfg.p)
         self._amp_p = math.sqrt(cfg.p)
+        super().__init__(cfg.chi1, cfg.chi2, 0.5, (1.0, 1.0), t_max,
+                         np.array([-math.log(cfg.p)]), np.array([self._amp_p]))
 
-    def b_value(self, gamma: float) -> complex:
-        """B(rho, p) = p^rho = p^{1/2} e^{i gamma log p}."""
-        return self._amp_p * complex(math.cos(gamma * self._log_p),
-                                     math.sin(gamma * self._log_p))
-
-    def l_values(self, gamma: float) -> tuple[LValue, LValue]:
-        return self._win1.value(gamma), self._win2.value(gamma)
-
-    def rows(self, gammas: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out[i] = (B L1, B L2) at gammas[i], bit for bit the one-height
-        values, filled block by block and returned."""
-        for lo in range(0, len(gammas), _GROUP_ROWS):
-            ts = gammas[lo:lo + _GROUP_ROWS]
-            out[lo:lo + len(ts)] = [(b * l1, b * l2) for b, l1, l2 in zip(
-                map(self.b_value, ts.tolist()), self._win1.values(ts),
-                self._win2.values(ts))]
-        return out
+    @staticmethod
+    def _row(b: complex, l1: complex, l2: complex) -> tuple[complex, complex]:
+        return b * l1, b * l2
 
     def audit(self, gamma: float) -> None:
         """Each character on its own: a defect both oracles share cancels in o1 - o2."""
         b = self.b_value(gamma)
-        for lv, chi in zip(self.l_values(gamma), (self.cfg.chi1, self.cfg.chi2)):
+        for lv, chi in zip(self.l_values(gamma), (self.chi1, self.chi2)):
             o = l_oracle(complex(0.5, gamma), chi)
             _check_audit(gamma, b * lv.value, b * o.value,
                          self._amp_p * (lv.bound + o.bound) + 1e-9)
@@ -215,16 +197,13 @@ def thm2_report(zeros: ZeroTable, t: float, cfg: CriticalLineConfig,
         raise PreconditionError(f"method must be 'afe' or 'oracle', got {method!r}")
     stride = _audit_stride(audit_rate)
     gammas = zeros.up_to(t)
-    evaluator = ThmTwoEvaluator(cfg, t)
+    evaluator = ThmTwoEvaluator(cfg, gammas.max(initial=0.0))
     rows = np.empty((len(gammas), 2), dtype=complex)
     if method == "oracle":
-        l1s, _ = l_oracle_critical_batch(gammas, cfg.chi1)
-        l2s, _ = l_oracle_critical_batch(gammas, cfg.chi2)
-        for i, (l1, l2) in enumerate(zip(l1s, l2s)):
-            b = evaluator.b_value(float(gammas[i]))
-            rows[i] = b * complex(l1), b * complex(l2)
+        evaluator.rows(gammas, rows, [l_oracle_critical_batch(gammas, chi)[0]
+                                      for chi in (cfg.chi1, cfg.chi2)])
     else:
-        _audited_rows(evaluator.rows, evaluator.audit, gammas, stride, rows)
+        evaluator.audited_rows(gammas, stride, rows)
     s1 = neumaier_sum_complex(rows[:, 0].tolist())
     s2 = neumaier_sum_complex(rows[:, 1].tolist())
     sum_a, sum_abs2, lower = _cauchy_schwarz(rows[:, 0] - rows[:, 1])

@@ -8,9 +8,10 @@ For x > 1 the zero sum sum_{0<gamma<=T} x^rho picks up a main term
 where <x> is the distance from x to the nearest prime power other than
 x itself.  Sample points x are exact rationals so that Lambda(x) and
 <x> never suffer float misclassification; only the final x^{1/2}
-e^{i gamma log x} is floating point.  The order-bound constants are
-unknowable from the asymptotic statement; the budget fixes them all at
-1 and the test suite applies a slack factor of 5.
+e^{i gamma log x}, the one-term Dirichlet polynomial x^s at rho that
+lfunc.dirichlet_values evaluates, is floating point.  The order-bound
+constants are unknowable from the asymptotic statement; the budget
+fixes them all at 1 and the test suite applies a slack factor of 5.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 from fractions import Fraction
 
 from .errors import PreconditionError
+from .lfunc import dirichlet_values
 from .primes import prime_power
 from .summation import neumaier_sum_complex
 from .zeros import ZeroTable
@@ -79,18 +81,14 @@ def nearest_pp_distance(x) -> Fraction:
 
 
 def landau_zero_sum(x, zeros: ZeroTable, t: float) -> complex:
-    """sum_{0 < gamma <= T} x^{1/2} e^{i gamma log x} (RH form of rho).
-
-    Compensated summation in ascending-gamma order; empty below the
-    first zero.
+    """sum_{0 < gamma <= T} x^{1/2} e^{i gamma log x} (RH form of rho):
+    lfunc.dirichlet_values of the one-term polynomial x^s, summed with
+    compensation in ascending-gamma order; empty below the first zero.
     """
     x = rational_point(x)
-    gammas = zeros.up_to(t)
-    amp = math.sqrt(float(x))
     log_x = math.log(x.numerator) - math.log(x.denominator)
-    return neumaier_sum_complex(
-        complex(amp * math.cos(g * log_x), amp * math.sin(g * log_x))
-        for g in gammas)
+    return neumaier_sum_complex(dirichlet_values(
+        [-log_x], [math.sqrt(float(x))], zeros.up_to(t)).tolist())
 
 
 def landau_main_term(x, t: float) -> float:

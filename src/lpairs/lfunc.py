@@ -20,8 +20,9 @@ by runs of equal window lengths, the same bits as each height summed
 alone.  The value is the first sum plus X(s, chi) times the second, one
 x_factor call and one Python complex sum per height.  AfeWindows.value(t)
 is values on one height with the remainder bound; l_afe builds the table
-for its single height; the thm1 and thm2 evaluators build it once for
-every height up to T.
+for its single height.  Both theorems read a Dirichlet polynomial B
+(dirichlet_values, also landau's x^rho) beside L(s, chi1), L(s, chi2) at
+every zero, in the one loop over a zero table, PairEvaluator.rows.
 
 l_oracle is the slow independent evaluator through Hurwitz zeta:
 L(s, chi) = q^{-s} sum_{a=1}^{q} chi(a) zeta(s, a/q), certified to 1e-9.
@@ -60,9 +61,9 @@ from .specfun import hurwitz_zeta_certified
 AFE_REMAINDER_CONSTANT = 10.0
 ORACLE_TOL = 1e-11  # Euler-Maclaurin truncation tolerance per Hurwitz term
 _AFE_MIN_HEIGHT = 10.0  # below this the Stirling-regime bound degrades
-# heights per AFE group, and per evaluator block, at most: a group's phase
-# matrix and its products then stay near 100 kB at the window lengths of
-# thm2 at T = 1e4, where runs of equal lengths reach 259 heights (1.1 MB)
+# heights per AFE group, and per PairEvaluator block, at most: a group's
+# phase matrix and its products then stay near 100 kB at the window lengths
+# of thm2 at T = 1e4, where runs of equal lengths reach 259 heights (1.1 MB)
 _GROUP_ROWS = 64
 # heights per oracle block; each block's largest |t| sets the kernel's N
 _ORACLE_BLOCK = 512
@@ -178,6 +179,60 @@ def l_afe(s, chi: DirichletCharacter, delta: float = 1.0) -> LValue:
         raise DomainTooSmall(
             f"AFE requires |t| >= {_AFE_MIN_HEIGHT}; use l_oracle for t = {s.imag}")
     return AfeWindows(chi, s.real, delta, s.imag).value(s.imag)
+
+
+def dirichlet_values(log_n, amp, ts) -> np.ndarray:
+    """sum_k amp_k e^{-i t log_n_k} at each height of ts: the row sums of
+    one phase matrix, each the bits of its height alone."""
+    return (amp * np.exp(-1j * np.asarray(ts, dtype=float)[:, None] * log_n)).sum(axis=1)
+
+
+class PairEvaluator:
+    """(B, L(s, chi1), L(s, chi2)) at s = sigma + i gamma: B the Dirichlet
+    polynomial dirichlet_values(b_log, b_amp, gamma), the L-values AFE
+    values of windows Delta = deltas tabulated to t_max.  rows is the one
+    loop over a zero table; a subclass defines _row(b, l1, l2) and audit."""
+
+    def __init__(self, chi1: DirichletCharacter, chi2: DirichletCharacter, sigma: float,
+                 deltas: tuple[float, float], t_max: float, b_log, b_amp):
+        self.chi1, self.chi2, self.sigma = chi1, chi2, sigma
+        self.delta1, self.delta2 = deltas
+        self._win1 = AfeWindows(chi1, sigma, self.delta1, t_max)
+        self._win2 = AfeWindows(chi2, sigma, self.delta2, t_max)
+        # window roots (x = Delta root sqrt(t)); perfbench/spans.py reads them
+        self._root1, self._root2 = self._win1.root, self._win2.root
+        self._b_log, self._b_amp = b_log, b_amp
+
+    def b_values(self, gammas) -> np.ndarray:
+        return dirichlet_values(self._b_log, self._b_amp, gammas)
+
+    def b_value(self, gamma: float) -> complex:
+        return complex(self.b_values([gamma])[0])
+
+    def l_values(self, gamma: float) -> tuple[LValue, LValue]:
+        """AFE values of L(s, chi1), L(s, chi2) at s = sigma + i gamma."""
+        return self._win1.value(gamma), self._win2.value(gamma)
+
+    def rows(self, gammas: np.ndarray, out: np.ndarray, lvalues=None) -> np.ndarray:
+        """out[i] = _row(B, L1, L2) at gammas[i], the bits of that height
+        alone, filled _GROUP_ROWS heights at a time and returned; lvalues =
+        (L1 array, L2 array) over gammas replaces the AFE values."""
+        for lo in range(0, len(gammas), _GROUP_ROWS):
+            ts = gammas[lo:lo + _GROUP_ROWS]
+            ls = ((self._win1.values(ts), self._win2.values(ts)) if lvalues is None
+                  else [values[lo:lo + len(ts)].tolist() for values in lvalues])
+            out[lo:lo + len(ts)] = [self._row(b, l1, l2) for b, l1, l2 in zip(
+                self.b_values(ts).tolist(), *ls)]
+        return out
+
+    def audited_rows(self, gammas: np.ndarray, stride: int,
+                     out: np.ndarray) -> np.ndarray:
+        """rows(gammas, out) after audit(gamma) at table indices 0, stride,
+        2 stride, ... (none when stride is 0)."""
+        if stride:
+            for g in gammas[::stride].tolist():
+                self.audit(g)
+        return self.rows(gammas, out)
 
 
 def l_via_hurwitz(table, sigma: float, ts, tol: float) -> tuple[np.ndarray, float]:

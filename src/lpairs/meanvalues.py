@@ -42,7 +42,7 @@ from .errors import (
     PreconditionError,
     SeriesProductDisagreement,
 )
-from .lfunc import _GROUP_ROWS, AfeWindows, LValue, l_oracle, l_via_hurwitz
+from .lfunc import PairEvaluator, l_oracle, l_via_hurwitz
 from .primes import is_prime, primes_upto
 # perfbench/spans.py wraps x_factor and hurwitz_zeta_certified by this
 # module's attributes, so the names stay importable here
@@ -485,7 +485,7 @@ def _check_audit(gamma: float, afe_a: complex, oracle_a: complex, tol: float) ->
             f"differ by {abs(afe_a - oracle_a):.3e} > {tol:.3e}")
 
 
-class ThmOneEvaluator:
+class ThmOneEvaluator(PairEvaluator):
     """Evaluates A(gamma) = B(s,P) * 2i Im(L(s,chi1) conj(L(s,chi2))) fast.
 
     The windows are Delta = sqrt(l) for chi1 and Delta = 1 for chi2.  The
@@ -495,53 +495,22 @@ class ThmOneEvaluator:
     of the numbers: L(s, chi2) is the same value whatever window produces
     it, and Delta = 1 sums about 2 sqrt(l t / 2 pi) terms (126 at t = 5000)
     instead of about 98k, with a remainder bound near 15 instead of 2.3e3.
-    Each character's window terms are tabulated once (lfunc.AfeWindows)
-    up to t_max.  a_values takes a table of zeros in blocks of _GROUP_ROWS
-    heights: per block, one phase matrix for B and the windows' own
-    groups, whose row sums are the bits of the one-height a_value.
+    B(s, P), the windows and the loop (rows) are lfunc.PairEvaluator's.
     """
+
+    _row = staticmethod(_statistic)
 
     def __init__(self, bpoly: BPolynomial, sigma: float, t_max: float):
         _check_sigma(sigma)
         _check_non_principal(bpoly.chi1, bpoly.chi2)
-        self.bpoly = bpoly
-        self.sigma = sigma
-        self.chi1, self.chi2 = bpoly.chi1, bpoly.chi2
-        self.delta1 = math.sqrt(self.chi2.modulus)
-        self.delta2 = 1.0
-        self._win1 = AfeWindows(self.chi1, sigma, self.delta1, t_max)
-        self._win2 = AfeWindows(self.chi2, sigma, self.delta2, t_max)
-        # window roots (x = Delta root sqrt(t)); perfbench/spans.py reads them
-        self._root1, self._root2 = self._win1.root, self._win2.root
-
         ns, cs = bpoly.complex_coefficients()
-        self._b_log = np.log(ns)
-        self._b_amp = cs * ns ** (-sigma)
-
-    def b_values(self, gammas: np.ndarray) -> np.ndarray:
-        """B(sigma + i gamma, P) at each height of a block: the row sums of
-        one phase matrix."""
-        return (self._b_amp * np.exp(-1j * gammas[:, None] * self._b_log)).sum(axis=1)
-
-    def b_value(self, gamma: float) -> complex:
-        return complex(self.b_values(np.array([gamma], dtype=float))[0])
-
-    def l_values(self, gamma: float) -> tuple[LValue, LValue]:
-        """AFE values of L(s, chi1), L(s, chi2) at s = sigma + i gamma."""
-        return self._win1.value(gamma), self._win2.value(gamma)
+        super().__init__(bpoly.chi1, bpoly.chi2, sigma,
+                         (math.sqrt(bpoly.chi2.modulus), 1.0), t_max,
+                         np.log(ns), cs * ns ** (-sigma))
 
     def a_value(self, gamma: float) -> complex:
         lv1, lv2 = self.l_values(gamma)
         return _statistic(self.b_value(gamma), lv1.value, lv2.value)
-
-    def a_values(self, gammas: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out[i] = a_value(gammas[i]), bit for bit, filled block by block
-        and returned."""
-        for lo in range(0, len(gammas), _GROUP_ROWS):
-            ts = gammas[lo:lo + _GROUP_ROWS]
-            out[lo:lo + len(ts)] = [_statistic(b, l1, l2) for b, l1, l2 in zip(
-                self.b_values(ts).tolist(), self._win1.values(ts), self._win2.values(ts))]
-        return out
 
     def a_value_oracle(self, gamma: float) -> complex:
         s = complex(self.sigma, gamma)
@@ -597,19 +566,8 @@ def _audit_stride(audit_rate: float) -> int:
     """Heights per oracle audit for a rate in [0, 1]; 0 means no audits."""
     if not 0.0 <= audit_rate <= 1.0:  # also catches nan
         raise PreconditionError(f"audit rate must lie in [0, 1], got {audit_rate}")
-    return int(round(1.0 / audit_rate)) if audit_rate > 0 else 0
-
-
-def _audited_rows(rows, audit, gammas: np.ndarray, stride: int,
-                  out: np.ndarray) -> np.ndarray:
-    """rows(gammas, out), returned: the row of each height in table order.
-    audit(gamma) runs first at table indices 0, stride, 2 stride, ...
-    (none when stride is 0).  out is complex, shape (n,) or (n, k) for
-    rows of k values."""
-    if stride:
-        for g in gammas[::stride].tolist():
-            audit(g)
-    return rows(gammas, out)
+    # 1 / rate overflows below 5.6e-309; a stride of 1e300 audits index 0 only
+    return int(round(1.0 / max(audit_rate, 1e-300))) if audit_rate > 0 else 0
 
 
 def _cauchy_schwarz(a_values: np.ndarray) -> tuple[complex, float, float]:
@@ -632,17 +590,15 @@ def _mollifier(chi1: DirichletCharacter, chi2: DirichletCharacter,
 
 
 def _thm1_sweep(zeros: ZeroTable, ts, sigma: float, bpoly: BPolynomial,
-                audit_rate: float) -> list[MeanValueReport]:
+                predicted_c: complex, audit_rate: float) -> list[MeanValueReport]:
     """One report per height in ts, in order, from one audited pass to
-    max(ts) with one evaluator and one D, E.  A(gamma) does not depend on
-    the height the windows are tabulated to, so the report at T is the
-    prefix up to N(T) of that pass, bit for bit."""
+    max(ts) with one evaluator and the caller's C = D - E.  A(gamma) does
+    not depend on the height the windows are tabulated to, so the report
+    at T is the prefix up to N(T) of that pass, bit for bit."""
     stride = _audit_stride(audit_rate)
     gammas = zeros.up_to(max(ts))
-    evaluator = ThmOneEvaluator(bpoly, sigma, max(ts))
-    a_values = _audited_rows(evaluator.a_values, evaluator.audit, gammas, stride,
-                             np.empty(len(gammas), dtype=complex))
-    predicted_c = predicted_constant(bpoly, sigma)
+    evaluator = ThmOneEvaluator(bpoly, sigma, gammas.max(initial=0.0))
+    a_values = evaluator.audited_rows(gammas, stride, np.empty(len(gammas), dtype=complex))
     reports = []
     for t in ts:
         n = zeros.count(t)
@@ -665,4 +621,7 @@ def thm1_report(zeros: ZeroTable, t: float, sigma: float,
     """
     if not 0.0 <= t < math.inf:  # checked before the mollifier; nan fails
         raise PreconditionError(f"thm1 needs 0 <= T < inf, got {t}")
-    return _thm1_sweep(zeros, [t], sigma, _mollifier(chi1, chi2, cutoff), audit_rate)[0]
+    bpoly = _mollifier(chi1, chi2, cutoff)
+    # D and E first: the series route refuses a sigma it cannot reach
+    return _thm1_sweep(zeros, [t], sigma, bpoly, predicted_constant(bpoly, sigma),
+                       audit_rate)[0]

@@ -94,7 +94,7 @@ def _validate_ordinates(gammas: np.ndarray, context: str) -> None:
         k = int(np.argmax(gammas[:-1] >= gammas[1:]))
         raise NonMonotonic(
             f"{context}: ordinates not strictly ascending near entry {k + 1} "
-            f"({gammas[k]!r} then {gammas[k + 1]!r})")
+            f"({float(gammas[k])!r} then {float(gammas[k + 1])!r})")
     if len(gammas) > 1 and float(np.min(np.diff(gammas))) <= ORDINATE_PRECISION:
         k = int(np.argmin(np.diff(gammas)))
         raise NonMonotonic(
@@ -102,7 +102,7 @@ def _validate_ordinates(gammas: np.ndarray, context: str) -> None:
             f"claimed precision {ORDINATE_PRECISION:g}")
     if gammas[0] <= _FIRST_ZERO_FLOOR:
         raise CountInconsistent(
-            f"{context}: first ordinate {gammas[0]!r} <= {_FIRST_ZERO_FLOOR} "
+            f"{context}: first ordinate {float(gammas[0])!r} <= {_FIRST_ZERO_FLOOR} "
             "(first Riemann zero is near 14.13)")
     # RvM count check at every ordinate: the k-th zero must sit where
     # N(gamma_k) = k is inside the band.
@@ -111,7 +111,7 @@ def _validate_ordinates(gammas: np.ndarray, context: str) -> None:
     if np.any(bad):
         k = int(np.argmax(bad))
         raise CountInconsistent(
-            f"{context}: zero #{k + 1} at {gammas[k]!r} violates the "
+            f"{context}: zero #{k + 1} at {float(gammas[k])!r} violates the "
             f"Riemann-von Mangoldt count band (expected ~{est[k]:.2f})")
 
 
@@ -140,14 +140,19 @@ def _rvm_coverage(gammas: np.ndarray) -> float:
 def load_zeros(path) -> ZeroTable:
     """Parse a whitespace-separated ordinate file ('#' comments allowed).
 
-    Accepts the common public zero-table dumps unmodified; a token that
-    is not a finite number (including nan and inf) is a ParseError with
-    its line number.  The parsed table is validated: strictly ascending, all entries above the first-
-    zero floor, and the RvM count band holds at every ordinate.
+    Accepts the common public zero-table dumps unmodified; a line that is
+    not UTF-8, or a token that is not a finite number (including nan and
+    inf), is a ParseError with its line number.  The parsed table is
+    validated: strictly ascending, all entries above the first-zero floor,
+    and the RvM count band holds at every ordinate.
     """
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8 text: {exc.reason}", line=lineno) from None
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue

@@ -304,3 +304,44 @@ def test_csv_cells_are_plain_numbers(zero_file, tmp_path, command):
         assert len(cells) == len(header.split(","))
         for cell in cells:
             float(cell)
+
+
+def test_unreachable_sigma_is_a_config_error_before_zero_table(tmp_path, capsys):
+    # the series route for D and E cannot sum the N > 8e8 terms sigma = 0.55
+    # needs; that is a configuration error (exit 1), found before the (here
+    # missing) zero file is read (exit 3)
+    missing = str(tmp_path / "nowhere.txt")
+    assert run(["thm1", "--zeros", missing, "--T", "1000", "--sigma", "0.55",
+                "--char1", "3:1", "--char2", "5:2"]) == 1
+    assert "series route needs N" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["thm1", "thm2"])
+def test_tiny_audit_rate_accepted(zero_file, tmp_path, command):
+    # 1 / 1e-320 is inf and used to end in an OverflowError traceback
+    out = tmp_path / f"{command}.csv"
+    assert run([command, "--T", "100", "--char1", "3:1", "--char2", "5:2",
+                "--zeros", zero_file, "--oracle-audit", "1e-320",
+                "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
+def test_io_error_zero_file_not_utf8(tmp_path, capsys):
+    # a UnicodeDecodeError is a ValueError, and used to exit 1 as a
+    # configuration error
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"14.134725141\n21.022039639 # \xe9\n")
+    assert run(["landau", "--x", "2", "--T", "100", "--zeros", str(bad)]) == 3
+    assert "I/O error: line 2: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["landau", "thm1", "thm2"])
+def test_csv_goes_to_stdout_without_output(zero_file, tmp_path, command, capsys):
+    # without --output the CSV is written to standard output, the same bytes
+    argv = [command, "--T", "50,100", "--zeros", zero_file]
+    argv += ["--x", "2"] if command == "landau" else ["--char1", "3:1", "--char2", "5:2"]
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--output", str(out)]) == 0
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == out.read_text()

@@ -376,3 +376,58 @@ def test_audit_fires_on_an_oracle_defect_both_characters_share(zeros100, chi3, c
     monkeypatch.setattr(cl, "l_oracle", shifted)
     with pytest.raises(OracleAuditFailure, match="A\\(14.13"):
         thm2_report(zeros100, 100.0, make_config(chi3, chi5))
+
+
+@pytest.mark.parametrize("p", [9, 1, 3, 5])
+def test_make_config_rejects_explicit_p_not_prime_or_a_modulus(chi3, chi5, p):
+    with pytest.raises(PreconditionError, match=f"auxiliary prime {p} must be prime"):
+        make_config(chi3, chi5, p=p)
+
+
+def test_tiny_audit_rate_audits_index_zero_only(zeros100, chi3, chi5, monkeypatch):
+    # 1 / 1e-320 is inf; the rate lies in [0, 1], so it audits the first
+    # zero only, as 1e-300 does
+    audited = []
+    audit = ThmTwoEvaluator.audit
+
+    def recording(ev, gamma):
+        audited.append(gamma)
+        audit(ev, gamma)
+
+    monkeypatch.setattr(ThmTwoEvaluator, "audit", recording)
+    cfg = make_config(chi3, chi5)
+    for rate in (1e-300, 1e-320, 5e-324):
+        assert thm2_report(zeros100, 100.0, cfg, audit_rate=rate).n_zeros == 29
+    assert audited == [float(zeros100.ordinates[0])] * 3
+
+
+@pytest.mark.parametrize("method", ["afe", "oracle"])
+def test_empty_table_tabulates_no_windows(chi3, chi5, method):
+    # an empty zero file covers every height; the evaluator's windows
+    # reach its last zero, not T (84.7 MB traced at T = 1e12 when they
+    # reached T)
+    import tracemalloc
+
+    from lpairs.zeros import ZeroTable
+    empty = ZeroTable(np.empty(0), "file", math.inf)
+    cfg = make_config(chi3, chi5)
+    tracemalloc.start()
+    try:
+        rep = thm2_report(empty, 1e12, cfg, method=method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_zeros == 0 and rep.sum_a == 0
+    assert peak <= 1e6, peak
+
+
+def test_one_term_polynomial_is_cos_sin(zeros1000, chi3, chi5):
+    # B(rho) = p^rho through lfunc.dirichlet_values has the bits of
+    # sqrt(p) (cos(gamma log p), sin(gamma log p)) at every zero below 1000
+    gammas = zeros1000.ordinates
+    for chi2, p in ((chi5, 7), (chi5, 11), (chi5, 13), (character(7, 1), 31)):
+        ev = ThmTwoEvaluator(make_config(chi3, chi2, p=p), 50.0)
+        amp, log_p = math.sqrt(p), math.log(p)
+        assert ev.b_values(gammas).tolist() == [
+            amp * complex(math.cos(g * log_p), math.sin(g * log_p))
+            for g in gammas.tolist()]

@@ -241,3 +241,47 @@ def test_batched_window_sums_equal_one_height_sums(chi, sigma, delta):
     expected = [_one_height_sums(win, t) for t in ts.tolist()]
     assert list(zip(firsts.tolist(), seconds.tolist())) == expected
     assert [lv.value for lv in map(win.value, ts.tolist())] == win.values(ts)
+
+
+class _Products(lfunc.PairEvaluator):
+    """A pair evaluator whose row is (B, L1 L2), auditing by recording."""
+
+    @staticmethod
+    def _row(b, l1, l2):
+        return b, l1 * l2
+
+    def audit(self, gamma):
+        self.audited.append(gamma)
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["afe", "lvalues"])
+def test_pair_evaluator_rows_equal_one_height_rows(zeros1000, chi3, chi5, given):
+    # 200 zeros cross three block edges; every row has the bits of its
+    # height alone, with AFE values or with the L-values handed in
+    gammas = zeros1000.ordinates[100:300]
+    log_n = np.log([1.0, 2.0, 6.0])
+    amp = np.array([1.0, -0.5 + 0.25j, 0.125j]) * np.exp(-0.75 * log_n)
+    ev = _Products(chi3, chi5, 0.75, (math.sqrt(5.0), 1.0), float(gammas[-1]), log_n, amp)
+    rng = np.random.default_rng(7)
+    lvalues = [rng.normal(size=200) + 1j * rng.normal(size=200) for _ in range(2)]
+    out = ev.rows(gammas, np.empty((200, 2), dtype=complex), lvalues if given else None)
+    expected = []
+    for i, g in enumerate(gammas.tolist()):
+        b = complex(lfunc.dirichlet_values(log_n, amp, [g])[0])
+        assert b == ev.b_value(g)
+        assert abs(b - sum(c * n ** complex(-0.75, -g) for c, n in
+                           zip(amp * np.exp(0.75 * log_n), [1, 2, 6]))) < 1e-12
+        l1, l2 = ((complex(lvalues[0][i]), complex(lvalues[1][i])) if given
+                  else (lv.value for lv in ev.l_values(g)))
+        expected.append([b, l1 * l2])
+    assert out.tolist() == expected
+
+
+def test_pair_evaluator_audits_table_indices(zeros1000, chi3, chi5):
+    gammas = zeros1000.ordinates[:130]
+    ev = _Products(chi3, chi5, 0.5, (1.0, 1.0), float(gammas[-1]), [0.0], [1.0])
+    for stride, indices in ((0, []), (1, range(130)), (64, [0, 64, 128]),
+                            (10 ** 6, [0])):
+        ev.audited = []
+        ev.audited_rows(gammas, stride, np.empty((130, 2), dtype=complex))
+        assert ev.audited == [float(gammas[i]) for i in indices]

@@ -260,11 +260,11 @@ class TestStatistic:
             assert lv2.bound == ref2.bound
 
     def test_batched_statistic_equals_one_height_statistic(self, zeros1000, bpoly):
-        # a_values, a block of heights at a time, against
+        # rows, a block of heights at a time, against
         # a_value one height at a time, bit for bit
         ev = ThmOneEvaluator(bpoly, 0.6, 1000.0)
         gammas = zeros1000.up_to(1000.0)
-        batched = ev.a_values(gammas, np.empty(len(gammas), dtype=complex))
+        batched = ev.rows(gammas, np.empty(len(gammas), dtype=complex))
         assert batched.tolist() == [ev.a_value(g) for g in gammas.tolist()]
         assert ev.b_values(gammas[:50]).tolist() == [ev.b_value(g)
                                                       for g in gammas[:50].tolist()]
@@ -495,3 +495,51 @@ class TestSeriesRoute:
         finally:
             tracemalloc.stop()
         assert peak <= 8e6, peak
+
+
+def test_unreachable_sigma_refused_before_the_afe_pass(zeros100, chi3, chi5, monkeypatch):
+    # at sigma = 0.55 the series route for D and E would need N > 8e8
+    # terms; thm1_report refuses it before it computes any AFE value
+    import lpairs.lfunc as lfunc
+
+    def no_afe(*args):
+        raise AssertionError("AFE value computed before D and E")
+
+    monkeypatch.setattr(lfunc.AfeWindows, "sums", no_afe)
+    with pytest.raises(PreconditionError, match="series route needs N"):
+        thm1_report(zeros100, 100.0, 0.55, chi3, chi5)
+
+
+def test_tiny_audit_rate_audits_index_zero_only(zeros100, chi3, chi5, monkeypatch):
+    # 1 / 1e-320 is inf; the rate lies in [0, 1], so it audits the first
+    # zero only, as 1e-300 does
+    audited = []
+    audit = ThmOneEvaluator.audit
+
+    def recording(ev, gamma):
+        audited.append(gamma)
+        audit(ev, gamma)
+
+    monkeypatch.setattr(ThmOneEvaluator, "audit", recording)
+    for rate in (1e-300, 1e-320, 5e-324):
+        rep = thm1_report(zeros100, 100.0, 0.75, chi3, chi5, audit_rate=rate)
+        assert rep.n_zeros == 29
+    assert audited == [float(zeros100.ordinates[0])] * 3
+
+
+def test_empty_table_tabulates_no_windows(chi3, chi5):
+    # an empty zero file covers every height; the evaluator's windows
+    # reach its last zero, not T (118.9 MB traced at T = 1e12 when they
+    # reached T); what is left is D and E (0.7 MB)
+    import tracemalloc
+
+    from lpairs.zeros import ZeroTable
+    empty = ZeroTable(np.empty(0), "file", math.inf)
+    tracemalloc.start()
+    try:
+        rep = thm1_report(empty, 1e12, 0.75, chi3, chi5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_zeros == 0 and rep.sum_a == 0
+    assert peak <= 4e6, peak

@@ -368,6 +368,17 @@ class TestHardyZ:
         assert changes >= 29
         assert len(zeros100) == 29
 
+    def test_imaginary_residue_check_fires_on_a_planted_theta_error(self, monkeypatch):
+        # theta off by 1e-2 turns Z into Z e^{0.01 i}: the imaginary residue
+        # |Z| sin(0.01) is far above 1e-6, and the check raises
+        theta = specfun.riemann_siegel_theta
+        assert abs(hardy_z(20.0)) > 0.1
+        monkeypatch.setattr(specfun, "riemann_siegel_theta", lambda t: theta(t) + 1e-2)
+        with pytest.raises(AccuracyLoss, match="imaginary residue"):
+            hardy_z(20.0)
+        with pytest.raises(AccuracyLoss, match="imaginary residue"):
+            specfun._hardy_z_em(np.array([20.0, 50.0, 150.0]), specfun._Z_BATCH_TOL)
+
 
 class TestXFactor:
     def test_critical_line_modulus_one(self):

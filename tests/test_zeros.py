@@ -221,3 +221,53 @@ def test_hybrid_kernel_table_matches_euler_maclaurin(zeros1000, monkeypatch):
                         lambda ts: specfun._hardy_z_em(ts, specfun._Z_BATCH_TOL))
     em_only = compute_zeros(1000.0)
     assert np.array_equal(em_only.ordinates, zeros1000.ordinates)
+
+
+def test_load_rejects_non_utf8_with_line_number(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"14.134725141\n21.022039639\n# caf\xe9\n25.010857580\n")
+    with pytest.raises(ParseError, match="not UTF-8") as err:
+        load_zeros(path)
+    assert err.value.line == 3
+
+
+def test_ordinates_closer_than_the_precision_rejected(tmp_path):
+    # distinct doubles 5e-10 apart pass the ascent check and coincide
+    # within ORDINATE_PRECISION = 1e-9
+    path = tmp_path / "close.txt"
+    path.write_text("14.134725141\n14.1347251415\n21.022039639\n")
+    with pytest.raises(NonMonotonic, match="entries 1 and 2 coincide"):
+        load_zeros(path)
+
+
+def test_first_ordinate_below_the_floor_rejected(tmp_path):
+    # the message names the ordinate as a plain number, not np.float64(9.5)
+    path = tmp_path / "low.txt"
+    path.write_text("9.5\n14.134725141\n21.022039639\n")
+    with pytest.raises(CountInconsistent, match=r"first ordinate 9\.5 <= 10"):
+        load_zeros(path)
+
+
+@pytest.mark.parametrize("dropped", [[5], [5, 6]], ids=["one", "adjacent-pair"])
+def test_gap_audit_restores_zeros_the_scan_missed(zeros1000, monkeypatch, dropped):
+    # a scan that loses one zero, or two adjacent ones, leaves a gap of two
+    # or three mean spacings; the gap audit's fine rescan finds them and
+    # merges them back, and the table is the engine's own
+    scan_once = zeros_mod._scan_once
+    audits = []
+    gap_audit = zeros_mod._gap_audit
+
+    def missing(t_max, density):
+        return np.delete(scan_once(t_max, density), dropped)
+
+    def recording(gammas, t_max):
+        audits.append(len(gammas))
+        return gap_audit(gammas, t_max)
+
+    monkeypatch.setattr(zeros_mod, "_scan_once", missing)
+    monkeypatch.setattr(zeros_mod, "_gap_audit", recording)
+    table = compute_zeros(100.0)
+    ref = zeros1000.up_to(100.0)
+    assert audits == [len(ref) - len(dropped)]
+    assert len(table) == len(ref)
+    assert float(np.max(np.abs(table.ordinates - ref))) <= 1e-9
