@@ -100,12 +100,14 @@ def _cmd_zeros(args) -> None:
 
 def _cmd_landau(args) -> None:
     x = rational_point(args.x)
+    # the budget checks each T, before the zero table is loaded
+    budgets = [landau_error_budget(x, t) for t in args.t_values]
     table = _resolve_zeros(args.zeros, max(args.t_values))
     lines = ["x,T,re_sum,im_sum,main_term,budget"]
-    for t in args.t_values:
+    for t, budget in zip(args.t_values, budgets):
         s = landau_zero_sum(x, table, t)
         lines.append(_csv_row([x, float(t), s.real, s.imag, landau_main_term(x, t),
-                               landau_error_budget(x, t)]))
+                               budget]))
     _write_lines(args.output, lines)
 
 

@@ -28,9 +28,10 @@ l_oracle is the slow independent evaluator through Hurwitz zeta:
 L(s, chi) = q^{-s} sum_{a=1}^{q} chi(a) zeta(s, a/q), certified to 1e-9.
 That sum has one implementation, l_via_hurwitz(table, sigma, ts, tol):
 any sigma, a batch of heights, one Euler-Maclaurin kernel call over all
-the nonzero shifts, with the N = specfun._hurwitz_terms(max|t|, sigma,
-tol) at which the kernel's Backlund remainder bound meets tol (about
-0.24 max|t| in the critical strip).  It also serves the Euler-product
+the nonzero shifts.  The kernel sizes its main sum itself, the least N at
+which its Backlund remainder bound meets tol (about 0.24 max|t| in the
+critical strip), and stops every shift at one Bernoulli order, each with
+its own bound.  It also serves the Euler-product
 route of the limit constants, at t = 0.  The oracle contract
 (non-principal character, finite sigma, |t| <= 1e4, one rounding
 allowance, bound <= 1e-9) has one implementation too, _oracle_batch, on
@@ -53,8 +54,7 @@ from .errors import (
     HeightExceeded,
     OutOfStrip,
 )
-from .specfun import (_backlund_orders, _digamma_real, _hurwitz_critical_batch,
-                      _hurwitz_terms, x_factor)
+from .specfun import _digamma_real, _hurwitz_critical_batch, x_factor
 # perfbench/spans.py wraps hurwitz_zeta_certified by this module's attribute
 from .specfun import hurwitz_zeta_certified
 
@@ -239,17 +239,12 @@ def l_via_hurwitz(table, sigma: float, ts, tol: float) -> tuple[np.ndarray, floa
     """m^{-s} sum_a table[a] zeta(s, a/m) at s = sigma + i t for a batch
     of heights and a period-m value table, with the certified zeta bounds
     summed and scaled by m^{-sigma}.  One kernel call over every nonzero
-    shift, with the N that _hurwitz_terms gives the batch's largest |t|;
-    the Backlund orders behind N and every shift's truncation are formed
-    once.  The shifts' values and bounds are added in shift order."""
+    shift, which sizes N for the batch's largest |t|; the shifts' values
+    and bounds are added in shift order."""
     ts = np.asarray(ts, dtype=float)
-    tmax = float(np.max(np.abs(ts)))
-    orders = _backlund_orders(tmax, sigma)
-    n_terms = _hurwitz_terms(tmax, sigma, tol, orders)
     m = len(table)
     nonzero = [a for a in range(1, m) if table[a] != 0]
-    values, bounds = _hurwitz_critical_batch(ts, np.array(nonzero) / m, tol, sigma,
-                                             n_terms, orders)
+    values, bounds = _hurwitz_critical_batch(ts, np.array(nonzero) / m, tol, sigma)
     total = np.zeros(len(ts), dtype=complex)
     bound = 0.0
     for a, vals, b in zip(nonzero, values, bounds.tolist()):

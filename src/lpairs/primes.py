@@ -63,17 +63,18 @@ def primes_upto(n: int) -> list[int]:
 
 
 def _integer_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) computed exactly."""
+    """floor(n ** (1/k)) computed exactly: integer Newton steps from
+    2^ceil(bits/k), which lies above the root, decrease to the floor."""
     if n < 0 or k < 1:
         raise ValueError("need n >= 0, k >= 1")
     if n in (0, 1) or k == 1:
         return n
-    r = int(round(n ** (1.0 / k)))
-    while r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        below = ((k - 1) * r + n // r ** (k - 1)) // k
+        if below >= r:
+            return r
+        r = below
 
 
 def prime_power(n: int):

@@ -9,18 +9,18 @@ explicit Backlund remainder bound plus a rounding allowance, and the
 certified-bound variants return that bound alongside the value.
 
 Only double precision is used.  Euler-Maclaurin has one body,
-_hurwitz_critical_batch(ts, shifts, tol, sigma, n_terms), which sums its
-N main-sum terms one height at a time for every shift a at once, in one
-shifts x N buffer, and forms the Bernoulli corrections' Pochhammer
-products once for all the shifts; an L-value is one pass over its
-character's nonzero shifts.  numpy releases the GIL over each row, so
-threads can run batches side by side.
-N has two rules.  The Hurwitz L-route and the scalar Hurwitz zeta take
-_hurwitz_terms(max|t|, sigma, tol), the least N at which the kernel's
-own Backlund bound meets tol (about 0.24 max|t| in the critical strip).
-The zero engine's Z takes _em_terms(max|t|) = 0.62 max|t| + 8, because
-the committed zero tables pin its bits: at the shorter N some ordinates
-move by up to 1e-10.
+_hurwitz_critical_batch(ts, shifts, tol, sigma, n_terms=None), which sums
+its N main-sum terms one height at a time for every shift a at once, in
+one shifts x N buffer, and stops every shift at one Bernoulli order, whose
+Pochhammer products it forms once for all the shifts; an L-value is one
+pass over its character's nonzero shifts.  numpy releases the GIL over
+each row, so threads can run batches side by side.
+N has two rules.  By default the kernel takes _hurwitz_terms(max|t|,
+sigma, tol), the least N at which its own Backlund bound meets tol (about
+0.24 max|t| in the critical strip); the Hurwitz L-route and the scalar
+Hurwitz zeta use it.  The zero engine's Z passes _em_terms(max|t|) =
+0.62 max|t| + 8, because the committed zero tables pin that N: at the
+shorter N some ordinates move by up to 1e-10.
 The scalar routes are batches of one height and one shift: hurwitz_zeta,
 zeta_em (a = 1) and hardy_z, which is _hardy_z_em on one height.  The zero
 engine's Z below t = 200 is _hardy_z_em too.  From t = 200 the zero
@@ -93,7 +93,7 @@ _B2K_OVER_FACT = np.array((
 _LOG_B2K = np.log(np.abs(_B2K_OVER_FACT))
 _TAIL_BLOCK = 32  # heights per block of the Bernoulli corrections (K x block values)
 _STEPS = np.arange(64.0)  # j in s + j, the factors of the Pochhammer products
-_TWO_K = 2.0 * np.arange(1, 33)[:, None]  # 2k in the exponents -s - 2k + 1
+_TWO_K = 2.0 * np.arange(1, 33)[:, None]  # 2k in -s - (2k - 1) and (s + 2k - 1)(s + 2k)
 _ORDERS = np.arange(2, 32)  # the orders k at which the kernel may stop
 
 # Riemann-Siegel corrections C_0..C_4 as polynomials in x = p - 1/2, with
@@ -176,6 +176,8 @@ def log_gamma(s) -> complex:
     accurate.
     """
     z = complex(s)
+    if not cmath.isfinite(z):
+        raise DomainTooSmall(f"log Gamma needs a finite argument, got {z}")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise PoleAtNonPositiveInteger(f"Gamma pole at {z.real}")
     if z.imag < 0.0:
@@ -207,8 +209,9 @@ def riemann_siegel_theta(t):
     ~4e-13 there); theta is increasing for t >= 7 since theta'(t)
     ~ log(t/2pi)/2.
     """
-    if np.min(t) < 1.0:
-        raise DomainTooSmall(f"theta expansion needs t >= 1, got {np.min(t)}")
+    lo, hi = np.min(t), np.max(t)
+    if not (lo >= 1.0 and hi < math.inf):  # nan fails both
+        raise DomainTooSmall(f"theta expansion needs finite t >= 1, got [{lo}, {hi}]")
     th = 0.5 * t * np.log(t / (2.0 * math.pi)) - 0.5 * t - math.pi / 8.0
     return th + _theta_tail(t)
 
@@ -261,17 +264,17 @@ def _backlund_orders(tmax: float, sigma: float):
     return k, p, log_c
 
 
-def _hurwitz_terms(tmax: float, sigma: float, tol: float, orders=None) -> int:
+def _hurwitz_terms(tmax: float, sigma: float, tol: float, backlund=None) -> int:
     """Smallest main-sum length N >= 20 at which some order of
     _backlund_orders meets tol: N_k = (C_k / tol)^(1/p), formed in logs,
     serves every height up to tmax and every shift a (N + a > N), and N
     is one above the least N_k, which absorbs the rounding of the logs.
-    orders is _backlund_orders(tmax, sigma) when the caller has it.
+    backlund is _backlund_orders(tmax, sigma) when the caller has it.
 
     That is about 0.24 tmax in the critical strip, where _em_terms gives
     0.62 tmax; at tmax = 0 it is 20, as _em_terms is.
     """
-    _, p, log_c = _backlund_orders(tmax, sigma) if orders is None else orders
+    _, p, log_c = _backlund_orders(tmax, sigma) if backlund is None else backlund
     if len(p) == 0:  # no order the kernel may stop at: it refuses sigma
         return 20
     return max(20, math.ceil(math.exp(float(np.min((log_c - math.log(tol)) / p)))) + 1)
@@ -312,7 +315,7 @@ def _power_sums(ts: np.ndarray, shifts: np.ndarray, sigma: float, n_terms: int):
 
 
 def _hurwitz_critical_batch(ts: np.ndarray, shifts, tol: float, sigma: float,
-                            n_terms: int, orders=None):
+                            n_terms: int | None = None):
     """zeta(sigma + i t, a) over a batch of heights and a batch of shifts a,
     with one shared truncation.
 
@@ -325,99 +328,75 @@ def _hurwitz_critical_batch(ts: np.ndarray, shifts, tol: float, sigma: float,
     -t log(n + a) is a real product, and cos and sin fill the real and
     imaginary halves of the buffer: the bits of the complex exp of i times
     that phase.
-    Callers size N for the batch's largest height, so they should batch
-    heights in narrow windows: the L-route and the scalar Hurwitz zeta take
-    _hurwitz_terms, the least N its remainder bound accepts (N + a > N, so
-    one N serves every shift); the zero engine's Z takes _em_terms, which
-    its committed tables pin.
+    Without n_terms the kernel sizes N itself, by _hurwitz_terms at the
+    batch's largest |t| (N + a > N, so one N serves every shift); the zero
+    engine's Z passes _em_terms.  N serves the largest height, so callers
+    should batch heights in narrow windows.
     The truncation remainder after K Bernoulli corrections is bounded by
-    Backlund's estimate |(s+2K+1)/(sigma+2K+1)| * |next term|, valid for
-    sigma + 2K + 1 > 0, with K, for each shift, the first order of
-    _backlund_orders where that bound is <= tol at the batch's largest
-    height, and so at every height; orders is _backlund_orders(max|ts|,
-    sigma) when the caller has it.  The K corrections are formed side by
-    side, one row per order, for blocks of _TAIL_BLOCK heights: the
-    Pochhammer products do not depend on a, so one set serves every
-    shift, and a shift that stops at a lower order takes a prefix of the
-    rows.  A batch of one height costs a few dozen numpy calls whatever
+    Backlund's estimate |(s+2K+1)/(sigma+2K+1)| * |next term|, valid at
+    any K with sigma + 2K + 1 > 0 (_backlund_orders, formed once at the
+    batch's largest height, and so bounding every height).  Every shift
+    stops at one K, the highest of the shifts' first orders that meet tol,
+    and each shift's bound is its own truncation at K.  The K corrections
+    are formed side by side, one row per order, for blocks of _TAIL_BLOCK
+    heights: the Pochhammer products s (s + 1) ... (s + 2k - 2) are one
+    running product over the pairs (s + 2m - 1)(s + 2m), shared by every
+    shift.  A batch of one height costs a few dozen numpy calls whatever
     K is.
     A root-sum-square rounding allowance for the oscillatory power sums
     (phase error ~ |t| log n * eps per term) is added with a factor-4
     margin.  The tail terms (the integral, the half term and the K
-    corrections) add a worst-case rounding term: each is off by at most
-    eps (2 (|s| + 2K) log(N + a) + 7K + 8) of its size (the power's
-    phase t log(N + a), the Pochhammer product), and each of the K + 3
-    additions into the value by eps |value|.
+    corrections) add a worst-case rounding term.  Each is off by at most
+    eps (2 (|s| + 2K) log(N + a) + 7K + 8) of its size (the power's phase
+    t log(N + a); the 2K - 1 factors and K products of the Pochhammer
+    row).  The K corrections are summed first, in whatever order numpy
+    takes (pairwise or not): any order is off by at most (K - 1) eps times
+    the sum of their sizes.  The three additions into the value are each
+    off by at most eps (|value| + tail).  In all, eps times the worst
+    (2 (|s| + 2K) log(N + a) + 8K + 11) tail + 3 |value| over the heights.
     Returns (values, bounds): values[j, i] is zeta(sigma + i ts[i],
-    shifts[j]) and bounds[j] the worst certified bound of shift j; each
-    row has the bits of a call on that shift alone.
+    shifts[j]) and bounds[j] the worst certified bound of shift j.
     """
     shifts = np.asarray(shifts, dtype=float)
     tmax = float(np.maximum.reduce(np.abs(ts)))
+    k, p, log_c = backlund = _backlund_orders(tmax, sigma)
+    if n_terms is None:
+        n_terms = _hurwitz_terms(tmax, sigma, tol, backlund)
     values, squares = _power_sums(ts, shifts, sigma, n_terms)
     s = sigma + 1j * ts
-    na = [n_terms + a for a in shifts.tolist()]
+    na = n_terms + shifts
     # N + a as a complex column: each power then skips a cast
-    na_c = np.array(na, dtype=complex)[:, None]
+    na_c = na.astype(complex)[:, None]
     integral = na_c ** (1.0 - s) / (s - 1.0)
     half = 0.5 * na_c ** (-s)
     values += integral + half
     tail = np.abs(integral) + np.abs(half)
 
-    # math.log and math.exp: np.log and np.exp round some doubles differently
-    log_na = np.array([[math.log(x)] for x in na])
-    k, p, log_c = _backlund_orders(tmax, sigma) if orders is None else orders
+    log_na = np.log(na)[:, None]
     log_trunc = log_c - p * log_na
     meets = log_trunc <= math.log(tol)
-    reached = np.logical_or.reduce(meets, axis=1).tolist()
-    if not all(reached):
-        a = float(shifts[reached.index(False)])
+    reached = meets.any(axis=1)
+    if not reached.all():
+        a = float(shifts[reached.argmin()])
         raise AccuracyLoss(f"Euler-Maclaurin remainder did not reach {tol:g} at "
                            f"sigma={sigma}, |t| <= {tmax}, a={a}, N={n_terms}")
-    stop = meets.argmax(axis=1)
-    log_cut = [row[j] for row, j in zip(log_trunc.tolist(), stop.tolist())]
-    order = k[stop]
-    # shifts grouped by order: a group takes exactly the first rows of the
-    # corrections (numpy sums the rows of a one-height block pairwise, so
-    # rows of zeros past a lower order would move its bits), and each
-    # shift gets the bits of a call on it alone
-    distinct = sorted(set(order.tolist()))
-    top = distinct[-1]
-    groups = ([(o, order == o) for o in distinct] if len(distinct) > 1
-              else [(top, slice(None))])
+    stop = int(meets.argmax(axis=1).max())
+    order = int(k[stop])
+    two_k = _TWO_K[:order]
     na_c = na_c[:, :, None]
     for lo in range(0, len(ts), _TAIL_BLOCK):
         sb = s[lo:lo + _TAIL_BLOCK]
         # row k - 1 is order k: B_2k / (2k)! s (s + 1) ... (s + 2k - 2)
-        # (N + a)^(-s - 2k + 1).  The committed zero tables pin the bits of
-        # this order: products one factor at a time, left to right (np.cumprod
-        # rounds differently), exponents -s - 1 and -s - 2k + 1, then a
-        # running sum
-        factors = sb + _STEPS[:2 * top - 1, None]
-        corr = np.empty((top, len(sb)), dtype=complex)
-        corr[0] = sb
-        for m in range(1, top):
-            np.multiply(corr[m - 1] * factors[2 * m - 1], factors[2 * m], out=corr[m])
-        neg_s = -sb
-        powers = neg_s - _TWO_K[:top] + 1.0
-        powers[0] = neg_s - 1.0
-        corr *= _B2K_OVER_FACT[:top, None]
-        corr = corr * np.power(na_c, powers)
-        vb, tb = values[:, lo:lo + _TAIL_BLOCK], tail[:, lo:lo + _TAIL_BLOCK]
-        for o, rows in groups:
-            part = corr[rows, :o]
-            vb[rows] = np.add.accumulate(np.concatenate((vb[rows, None], part), axis=1),
-                                         axis=1)[:, -1]
-            tb[rows] += np.add.reduce(np.abs(part), axis=1)
-    order_col = order[:, None].astype(float)
-    tail_max = np.maximum.reduce(
-        (2.0 * (np.abs(s) + 2.0 * order_col) * log_na + 7.0 * order_col + 8.0) * tail
-        + (order_col + 3.0) * np.abs(values), axis=1).tolist()
-    # each shift's truncation, rounding and tail rounding, added as floats
-    rounding = _EPS * (tmax + 2.0)
-    bounds = [math.exp(cut) + 4.0 * (rounding * math.log(x + 2.0) * math.sqrt(sq + 1.0))
-              + _EPS * worst for cut, x, sq, worst in zip(log_cut, na, squares, tail_max)]
-    return values, np.array(bounds)
+        # (N + a)^(-s - 2k + 1)
+        poch = np.cumprod(np.concatenate(
+            (sb[None], (sb + (two_k[:-1] - 1.0)) * (sb + two_k[:-1]))), axis=0)
+        corr = _B2K_OVER_FACT[:order, None] * poch * np.power(na_c, -sb - (two_k - 1.0))
+        values[:, lo:lo + _TAIL_BLOCK] += corr.sum(axis=1)
+        tail[:, lo:lo + _TAIL_BLOCK] += np.abs(corr).sum(axis=1)
+    worst = np.max((2.0 * (np.abs(s) + 2.0 * order) * log_na + 8.0 * order + 11.0) * tail
+                   + 3.0 * np.abs(values), axis=1)
+    rounding = _EPS * (tmax + 2.0) * np.log(na + 2.0) * np.sqrt(np.add(squares, 1.0))
+    return values, np.exp(log_trunc[:, stop]) + 4.0 * rounding + _EPS * worst
 
 
 def hurwitz_zeta(s, a) -> complex:
@@ -435,9 +414,7 @@ def hurwitz_zeta_certified(s, a) -> tuple[complex, float]:
     a = float(a)
     if not 0.0 < a <= 1.0:
         raise DomainTooSmall(f"shift a must lie in (0, 1], got {a}")
-    values, bounds = _hurwitz_critical_batch(
-        np.array([s.imag]), [a], _SCALAR_TOL, s.real,
-        _hurwitz_terms(abs(s.imag), s.real, _SCALAR_TOL))
+    values, bounds = _hurwitz_critical_batch(np.array([s.imag]), [a], _SCALAR_TOL, s.real)
     return complex(values[0, 0]), float(bounds[0])
 
 
@@ -455,8 +432,8 @@ def hardy_z(t: float) -> float:
     The imaginary residue is an internal accuracy check: above 1e-6 it
     signals a broken evaluator and raises AccuracyLoss.
     """
-    if t < 10.0:
-        raise DomainTooSmall(f"hardy_z requires t >= 10, got {t}")
+    if not 10.0 <= t < math.inf:  # nan fails the comparison
+        raise DomainTooSmall(f"hardy_z requires finite t >= 10, got {t}")
     return float(_hardy_z_em(np.array([t], dtype=float), _SCALAR_TOL)[0])
 
 
@@ -584,6 +561,8 @@ def x_factor(s, chi: DirichletCharacter) -> complex:
     and |X(1/2 + it, chi)| = 1 on the critical line.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainTooSmall(f"X(s, chi) needs a finite s, got {s}")
     if not 0.0 < s.real < 1.0:
         raise OutOfStrip(f"X(s, chi) needs 0 < Re s < 1, got {s.real}")
     _check_non_principal(chi)

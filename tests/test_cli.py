@@ -2,6 +2,7 @@ import argparse
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -185,19 +186,22 @@ def test_config_error_out_of_range_audit_rate(zero_file, command, rate):
     ["thm1", "--char1", "3:0"],
     ["thm2", "--char1", "3:0", "--p", "7"],
     ["thm2", "--char1", "3:1", "--char2", "5:2", "--p", "31"],
+    ["landau", "--x", "2", "--T", "100,0.5"],
 ])
 def test_config_error_before_zero_table(tmp_path, monkeypatch, argv):
     # a bad --sigma or --oracle-audit is a configuration error (exit 1)
-    # even when the zero file is missing (exit 3) or would be computed
+    # even when the zero file is missing (exit 3) or would be computed;
+    # a --T in argv overrides the default 100 placed before it
     import lpairs.cli
 
     def no_zeros(*args):
         raise AssertionError("zero table computed before validation")
 
     monkeypatch.setattr(lpairs.cli, "compute_zeros", no_zeros)
+    argv = argv[:1] + ["--T", "100"] + argv[1:]
     missing = str(tmp_path / "nowhere.txt")
-    assert run(argv + ["--T", "100", "--zeros", missing]) == 1
-    assert run(argv + ["--T", "100", "--zeros", "compute"]) == 1
+    assert run(argv + ["--zeros", missing]) == 1
+    assert run(argv + ["--zeros", "compute"]) == 1
 
 
 @pytest.mark.parametrize("heights", ["1", "100,1", "6.28"])
@@ -207,6 +211,19 @@ def test_thm2_height_checked_before_zero_table(zero_file, tmp_path, heights):
     # before the zero file is read
     assert run(["thm2", "--T", heights, "--zeros", zero_file]) == 1
     assert run(["thm2", "--T", heights, "--zeros", str(tmp_path / "nowhere.txt")]) == 1
+
+
+def test_landau_at_a_huge_x_stops_at_the_primality_limit(zero_file, tmp_path, capsys):
+    # x = 1e50 used to run for minutes in prime_power's float-seeded
+    # integer root; the nearest prime power above it needs a primality
+    # test beyond psi_13, a configuration error
+    start = time.perf_counter()
+    assert run(["landau", "--x", "1e50", "--T", "100", "--zeros", zero_file]) == 1
+    assert time.perf_counter() - start < 5.0
+    assert "proven only below" in capsys.readouterr().err
+    out = tmp_path / "landau.csv"
+    assert run(["landau", "--x", "1e20", "--T", "100", "--zeros", zero_file,
+                "--output", str(out)]) == 0
 
 
 def test_afe_verify_calls_the_oracle_once_per_point(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from lpairs.landau import (
     rational_point,
     von_mangoldt,
 )
-from lpairs.primes import is_prime, prime_power, prime_powers_upto
+from lpairs.primes import _integer_root, is_prime, prime_power, prime_powers_upto
 from lpairs.summation import neumaier_sum_complex
 
 
@@ -76,6 +76,28 @@ def test_prime_power_detection_exact():
     assert prime_power(3 ** 5) == (3, 5)
     assert prime_power(2 ** 40 + 1) is None
     assert prime_power(1) is None
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 10 ** 12 - 1, 2 ** 64, 10 ** 50, 10 ** 300,
+                               2 ** 1000 + 1, 2 ** 1100, 3 ** 700],
+                         ids=["2", "7", "8", "1e12-1", "2^64", "1e50", "1e300",
+                              "2^1000+1", "2^1100", "3^700"])
+def test_integer_root_is_exact(n):
+    # the float seed n ** (1/k) was off by ~1e9 units near 1e50, so the
+    # +-1 steps ran for minutes, and raised OverflowError from 2^1024
+    for k in (1, 2, 3, 5, 7, 64, 1000, 2000):
+        r = _integer_root(n, k)
+        assert r ** k <= n < (r + 1) ** k
+
+
+def test_prime_power_of_large_arguments_is_fast():
+    p = 3 * 10 ** 24 + 7  # prime, below psi_13
+    start = time.perf_counter()
+    assert prime_power(p * p) == (p, 2)
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert prime_power(10 ** 50) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_nearest_pp_distance_basics():

@@ -52,6 +52,23 @@ THETA_100 = 87.972165231787219625483129113748690868566519706706
 GAMMA_1 = 14.134725141734693790457251983562470270784257115699
 
 
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+def test_special_functions_refuse_non_finite_arguments(v):
+    # hardy_z raised a bare ValueError (nan) or OverflowError (inf), theta
+    # returned nan (with a RuntimeWarning at inf), x_factor raised
+    # ZeroDivisionError (inf) or returned nan, and log_gamma returned nan
+    chi = character(5, 2)
+    calls = [lambda: hardy_z(v), lambda: riemann_siegel_theta(v),
+             lambda: riemann_siegel_theta(np.array([20.0, v])),
+             lambda: x_factor(complex(0.5, v), chi), lambda: x_factor(complex(v, 10.0), chi),
+             lambda: log_gamma(v), lambda: log_gamma(complex(1.0, v))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DomainTooSmall):
+                call()
+
+
 class TestLogGamma:
     def test_at_one_is_zero(self):
         assert abs(log_gamma(1.0)) < 1e-14
@@ -208,16 +225,17 @@ class TestZeta:
 
 
 def _one_shot_kernel(ts, a, tol, sigma, n_terms):
-    """_hurwitz_critical_batch with its main sum formed for the whole batch
-    in one outer-product pass; the tail is the kernel's, operation for
-    operation."""
+    """(main sum, value) of zeta(sigma + i t, a): the main sum formed for the
+    whole batch in one outer-product pass, then the Bernoulli corrections
+    added one order at a time, up to the first order whose Backlund bound
+    meets tol at every height."""
     base = np.arange(n_terms, dtype=float) + a
     logb = np.log(base)
     amp = base ** -sigma
-    values = np.sum(np.exp(np.outer(-1j * ts, logb)) * amp, axis=1)
+    main = np.sum(np.exp(np.outer(-1j * ts, logb)) * amp, axis=1)
     s = sigma + 1j * ts
     na = float(n_terms + a)
-    values += na ** (1.0 - s) / (s - 1.0) + 0.5 * na ** (-s)
+    values = main + na ** (1.0 - s) / (s - 1.0) + 0.5 * na ** (-s)
     b2k = specfun._B2K_OVER_FACT
     poch = s.copy()
     values += b2k[0] * poch * na ** (-s - 1.0)
@@ -227,16 +245,23 @@ def _one_shot_kernel(ts, a, tol, sigma, n_terms):
         next_mag = (abs(b2k[k]) * np.abs(poch * (s + (2 * k - 1)) * (s + 2 * k))
                     * na ** (-sigma - 2.0 * k - 1.0))
         if np.max(np.abs(s + (2 * k + 1)) / (sigma + 2 * k + 1) * next_mag) <= tol:
-            return values
+            return main, values
     raise AssertionError("the reference tail did not converge")
 
 
 def _stop_orders(tmax, sigma, shifts, n_terms, tol=1e-11):
-    """The order at which the kernel stops for each shift: the first order
-    of _backlund_orders whose remainder bound at N + a meets tol."""
+    """Each shift's first order of _backlund_orders whose remainder bound
+    at N + a meets tol; the kernel stops every shift at the highest."""
     k, p, log_c = specfun._backlund_orders(tmax, sigma)
     return [int(k[np.argmax(log_c - p * math.log(n_terms + a) <= math.log(tol))])
             for a in shifts]
+
+
+def _truncation(tmax, sigma, a, n_terms, order):
+    """Backlund's bound at N + a after the given order, at height tmax."""
+    k, p, log_c = specfun._backlund_orders(tmax, sigma)
+    i = int(np.nonzero(k == order)[0][0])
+    return math.exp(log_c[i] - p[i] * math.log(n_terms + a))
 
 
 class TestEulerMaclaurinKernel:
@@ -245,12 +270,18 @@ class TestEulerMaclaurinKernel:
     @pytest.mark.parametrize("a", [1.0, 0.2])
     def test_streamed_main_sum_equals_one_shot_pass(self, a, sigma, t0):
         # each height's pairwise sum is the same row of the one-shot pass,
-        # so every caller gets the same bits, at the L-route's N and at Z's
+        # so every caller gets the same main sum, at the L-route's N and at
+        # Z's; the whole value lies within the kernel's bound of the
+        # one-shot value and its tolerance
         ts = np.linspace(t0, t0 + 100.0, 512)
         for n_terms in (specfun._hurwitz_terms(t0 + 100.0, sigma, 1e-11),
                         specfun._em_terms(t0 + 100.0)):
-            values, _ = specfun._hurwitz_critical_batch(ts, [a], 1e-11, sigma, n_terms)
-            assert np.array_equal(values[0], _one_shot_kernel(ts, a, 1e-11, sigma, n_terms))
+            main, value = _one_shot_kernel(ts, a, 1e-11, sigma, n_terms)
+            sums, _ = specfun._power_sums(ts, np.array([a]), sigma, n_terms)
+            assert np.array_equal(sums[0], main)
+            values, bounds = specfun._hurwitz_critical_batch(ts, [a], 1e-11, sigma,
+                                                             n_terms)
+            assert np.max(np.abs(values[0] - value)) <= bounds[0] + 1e-11
 
     def test_memory_is_one_height_of_terms(self):
         # a whole-batch pass holds 512 x 6,208 complex temporaries per shift
@@ -270,36 +301,44 @@ class TestEulerMaclaurinKernel:
 
     @pytest.mark.parametrize("heights", [1, 512])
     @pytest.mark.parametrize("sigma", [0.5, 0.75])
-    def test_multi_shift_call_equals_one_call_per_shift(self, sigma, heights):
-        # one pass over every shift gives each shift the values and the
-        # bound of a call on it alone, also where the shifts stop at
-        # different orders (the one-height tail sums pairwise)
+    def test_multi_shift_call_equals_one_call_per_shift(self, sigma, heights, dps40):
+        # one pass over shifts whose first orders differ stops them all at
+        # the highest: each bound carries its shift's truncation there, in
+        # place of the truncation at its own first order that a call on it
+        # alone carries; each row agrees with that call, and with mpmath,
+        # within the bounds
         ts = np.linspace(200.0, 100.0, heights)[::-1]
         shifts = np.array([0.2, 0.4, 0.6, 0.8, 1.0 / 3.0, 2.0 / 3.0, 1.0])
         n_terms = specfun._hurwitz_terms(200.0, sigma, 1e-11)
-        assert len(set(_stop_orders(200.0, sigma, shifts, n_terms))) > 1
-        values, bounds = specfun._hurwitz_critical_batch(ts, shifts, 1e-11, sigma, n_terms)
+        own = _stop_orders(200.0, sigma, shifts, n_terms)
+        assert len(set(own)) > 1
+        values, bounds = specfun._hurwitz_critical_batch(ts, shifts, 1e-11, sigma)
         assert values.shape == (len(shifts), heights) and bounds.shape == (len(shifts),)
         for j, a in enumerate(shifts):
             alone, bound = specfun._hurwitz_critical_batch(ts, [a], 1e-11, sigma, n_terms)
-            assert np.array_equal(values[j], alone[0])
-            assert bounds[j] == bound[0]
+            rounding = bounds[j] - _truncation(200.0, sigma, a, n_terms, max(own))
+            alone_rounding = bound[0] - _truncation(200.0, sigma, a, n_terms, own[j])
+            assert rounding == pytest.approx(alone_rounding, rel=0.01, abs=1e-15)
+            assert np.max(np.abs(values[j] - alone[0])) <= bounds[j] + bound[0]
+            for i in range(0, heights, 64):
+                ref = complex(mp.zeta(mp.mpc(sigma, ts[i]), mp.mpf(a)))
+                assert abs(values[j, i] - ref) <= bounds[j]
 
     def test_l_route_adds_the_shifts_in_order(self):
-        # one kernel call over the nonzero shifts: the sum of one call per
-        # shift, added in shift order, bit for bit
+        # one kernel call over the nonzero shifts: its rows, added in shift
+        # order, bit for bit
         ts = np.linspace(9000.0, 9100.0, 40)
-        n_terms = specfun._hurwitz_terms(9100.0, 0.5, 1e-11)
         for chi in (character(3, 1), character(5, 2)):
             table = chi.value_table()
             m = len(table)
             values, bound = l_via_hurwitz(table, 0.5, ts, 1e-11)
+            rows, bounds = specfun._hurwitz_critical_batch(
+                ts, np.arange(1, m) / m, 1e-11, 0.5)
             total = np.zeros(len(ts), dtype=complex)
             ref_bound = 0.0
             for a in range(1, m):
-                vals, b = specfun._hurwitz_critical_batch(ts, [a / m], 1e-11, 0.5, n_terms)
-                total += table[a] * vals[0]
-                ref_bound += float(b[0])
+                total += table[a] * rows[a - 1]
+                ref_bound += float(bounds[a - 1])
             assert np.array_equal(values, np.exp(-(0.5 + 1j * ts) * math.log(m)) * total)
             assert bound == m ** -0.5 * ref_bound
 
@@ -538,6 +577,17 @@ class TestRiemannSiegel:
             specfun._hardy_z_batch(ts)
         z, bound = specfun._rs_z_batch(ts[-1:])
         assert abs(z[0] - float(mp.siegelz(mp.mpf(float(ts[-1]))))) > bound[0]
+
+    @pytest.mark.parametrize("width", [0.0, 0.5, 5.0])
+    def test_a_priori_bound_covers_the_kernel_bound(self, width):
+        # _em_critical_bound(tmax) decides which Riemann-Siegel heights fall
+        # back to Euler-Maclaurin, so it must cover the bound the kernel
+        # certifies for a Z batch topped at tmax (a = 1, sigma = 1/2, Z's N)
+        for tmax in np.geomspace(14.0, 1e4, 60):
+            ts = np.linspace(tmax - width, tmax, 8 if width else 1)
+            _, bound = specfun._hurwitz_critical_batch(
+                ts, [1.0], specfun._Z_BATCH_TOL, 0.5, specfun._em_terms(tmax))
+            assert bound[0] <= specfun._em_critical_bound(tmax)
 
     def test_low_heights_stay_on_euler_maclaurin(self):
         ts = np.linspace(10.0, 199.0, 300)
