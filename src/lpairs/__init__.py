@@ -22,9 +22,11 @@ from .criticalline import (
     choose_p,
     make_config,
     thm2_report,
+    thm2_sweep,
 )
 from .landau import (
     landau_error_budget,
+    landau_error_budgets,
     landau_main_term,
     landau_zero_sum,
     nearest_pp_distance,
@@ -41,6 +43,7 @@ from .meanvalues import (
     series_d,
     series_e,
     thm1_report,
+    thm1_sweep,
 )
 from .specfun import (
     hardy_z,

@@ -15,24 +15,17 @@ import os
 import sys
 
 from . import __version__
-from .characters import _check_non_principal, character, gauss_sum, parse_character
-from .criticalline import ThmTwoReport, _check_height, make_config, thm2_report
+from .characters import character, gauss_sum, parse_character
+from .criticalline import ThmTwoReport, make_config, thm2_sweep
 from .errors import DataError, NumericsError, PreconditionError
 from .landau import (
-    landau_error_budget,
+    landau_error_budgets,
     landau_main_term,
     landau_zero_sum,
     rational_point,
 )
 from .lfunc import l_afe, l_oracle
-from .meanvalues import (
-    MeanValueReport,
-    _audit_stride,
-    _csv_row,
-    _mollifier,
-    _thm1_sweep,
-    predicted_constant,
-)
+from .meanvalues import MeanValueReport, _csv_row, thm1_sweep
 from .specfun import hardy_z, zeta_em
 from .zeros import compute_zeros, load_zeros
 
@@ -100,8 +93,8 @@ def _cmd_zeros(args) -> None:
 
 def _cmd_landau(args) -> None:
     x = rational_point(args.x)
-    # the budget checks each T, before the zero table is loaded
-    budgets = [landau_error_budget(x, t) for t in args.t_values]
+    # the budgets check each T, before the zero table is loaded
+    budgets = landau_error_budgets(x, args.t_values)
     table = _resolve_zeros(args.zeros, max(args.t_values))
     lines = ["x,T,re_sum,im_sum,main_term,budget"]
     for t, budget in zip(args.t_values, budgets):
@@ -136,35 +129,24 @@ def _cmd_afe_verify(args) -> None:
 
 
 def _write_sweep(args, header: str, reports) -> None:
-    """One CSV row per swept height T: reports(table) in sweep order."""
+    """One CSV row per swept height T: reports(table) in sweep order; the
+    sweep has checked every option, so the table is loaded only now."""
     table = _resolve_zeros(args.zeros, max(args.t_values))
     _write_lines(args.output, [header] + [r.csv_row() for r in reports(table)])
 
 
 def _cmd_thm1(args) -> None:
-    chi1 = parse_character(args.char1)
-    chi2 = parse_character(args.char2)
-    _check_non_principal(chi1, chi2)
-    # validate before the zero table is loaded or computed; D and E too, as
-    # the series route refuses a sigma whose N it cannot sum
-    bpoly = _mollifier(chi1, chi2, None if args.cutoff == "auto" else int(args.cutoff))
-    _audit_stride(args.audit_rate)
-    predicted_c = predicted_constant(bpoly, args.sigma)
-    _write_sweep(args, MeanValueReport.CSV_HEADER, lambda table: _thm1_sweep(
-        table, args.t_values, args.sigma, bpoly, predicted_c, args.audit_rate))
+    cutoff = None if args.cutoff == "auto" else int(args.cutoff)
+    _write_sweep(args, MeanValueReport.CSV_HEADER, thm1_sweep(
+        args.t_values, args.sigma, parse_character(args.char1),
+        parse_character(args.char2), cutoff, args.audit_rate))
 
 
 def _cmd_thm2(args) -> None:
-    chi1 = parse_character(args.char1)
-    chi2 = parse_character(args.char2)
-    p = None if args.p == "auto" else int(args.p)
-    cfg = make_config(chi1, chi2, p)
-    _audit_stride(args.audit_rate)  # validate before the zero table is loaded
-    for t in args.t_values:
-        _check_height(t)
-    _write_sweep(args, ThmTwoReport.CSV_HEADER, lambda table: [thm2_report(
-        table, t, cfg, audit_rate=args.audit_rate, method=args.method)
-        for t in args.t_values])
+    cfg = make_config(parse_character(args.char1), parse_character(args.char2),
+                      None if args.p == "auto" else int(args.p))
+    _write_sweep(args, ThmTwoReport.CSV_HEADER,
+                 thm2_sweep(args.t_values, cfg, args.audit_rate, args.method))
     print(f"thm2: p = {cfg.p}, C1 = {cfg.c1:.6f}, C2 = {cfg.c2:.6f}",
           file=sys.stderr)
 

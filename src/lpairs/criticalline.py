@@ -32,7 +32,7 @@ device; the workbench verifies the consequences by direct zero sums.
 Zeros are sampled at numerically computed ordinates, which lie on the
 critical line at desk heights, so rho = 1/2 + i gamma throughout.
 
-thm2_report is thm1_report with another statistic: B = p^s and the
+thm2_sweep is thm1_sweep with another statistic: B = p^s and the
 zero loop are lfunc.PairEvaluator's, the audit verdict and the reducer
 meanvalues._check_audit and _cauchy_schwarz.  method "oracle" hands that
 loop one l_oracle_critical_batch array per character over the whole
@@ -174,44 +174,49 @@ class ThmTwoReport:
                          self.lower_bound_count, self.lower_bound_count / self.t])
 
 
-def _check_height(t: float) -> None:
-    """thm2's height: 2 pi < T < inf, so that log(T/2pi) > 0 (nan fails)."""
-    if not 2.0 * math.pi < t < math.inf:
-        raise PreconditionError(f"thm2 needs 2 pi < T < inf, got {t}")
+def thm2_sweep(ts, cfg: CriticalLineConfig, audit_rate: float = 0.01,
+               method: str = "afe"):
+    """Check every option, then return reports(zeros): one ThmTwoReport per
+    height in ts, in order, each its own pass, as the oracle blocks size N
+    from each block's top height.  method "afe" uses the fast windows with
+    sampled oracle audits; "oracle" evaluates every height through the
+    batched Hurwitz route, for bias-free first moments at about 4x the AFE
+    route's CPU time at T = 1e4.  The per-character first moments are
+    reported beside the noisier difference, and the count bound is read
+    against c*T rather than N(T).
+    """
+    if len(ts) == 0 or not all(2.0 * math.pi < t < math.inf for t in ts):
+        # log(T/2pi) > 0 at each T; nan fails the comparison
+        raise PreconditionError(f"thm2 needs heights 2 pi < T < inf, got {list(ts)}")
+    if method not in ("afe", "oracle"):
+        raise PreconditionError(f"method must be 'afe' or 'oracle', got {method!r}")
+    stride = _audit_stride(audit_rate)
+
+    def report(zeros: ZeroTable, t: float) -> ThmTwoReport:
+        gammas = zeros.up_to(t)
+        evaluator = ThmTwoEvaluator(cfg, gammas.max(initial=0.0))
+        rows = np.empty((len(gammas), 2), dtype=complex)
+        if method == "oracle":
+            evaluator.rows(gammas, rows, [l_oracle_critical_batch(gammas, chi)[0]
+                                          for chi in (cfg.chi1, cfg.chi2)])
+        else:
+            evaluator.audited_rows(gammas, stride, rows)
+        s1 = neumaier_sum_complex(rows[:, 0].tolist())
+        s2 = neumaier_sum_complex(rows[:, 1].tolist())
+        sum_a, sum_abs2, lower = _cauchy_schwarz(rows[:, 0] - rows[:, 1])
+
+        scale = (t / (2.0 * math.pi)) * math.log(t / (2.0 * math.pi))
+        m1 = cfg.c1.conjugate() * scale
+        m2 = cfg.c2.conjugate() * scale
+        return ThmTwoReport(t=t, n_zeros=len(gammas), sum_a=sum_a,
+                            sum_chi1=s1, sum_chi2=s2,
+                            main_term=m1 - m2, main_chi1=m1, main_chi2=m2,
+                            sum_abs_a2=sum_abs2, lower_bound_count=lower)
+
+    return lambda zeros: [report(zeros, t) for t in ts]
 
 
 def thm2_report(zeros: ZeroTable, t: float, cfg: CriticalLineConfig,
                 audit_rate: float = 0.01, method: str = "afe") -> ThmTwoReport:
-    """Critical-line zero sums, with per-character sums emitted separately.
-
-    The difference of two slowly converging sums is noisier than either,
-    so the per-character first moments are reported alongside the
-    combined statistic; the count bound is read against c*T rather than
-    N(T).  method "afe" (default) uses the fast windows with sampled
-    oracle audits; "oracle" evaluates every height through the batched
-    Hurwitz route, trading about 4x the AFE route's CPU time at T = 1e4
-    for bias-free first moments.
-    """
-    _check_height(t)
-    if method not in ("afe", "oracle"):
-        raise PreconditionError(f"method must be 'afe' or 'oracle', got {method!r}")
-    stride = _audit_stride(audit_rate)
-    gammas = zeros.up_to(t)
-    evaluator = ThmTwoEvaluator(cfg, gammas.max(initial=0.0))
-    rows = np.empty((len(gammas), 2), dtype=complex)
-    if method == "oracle":
-        evaluator.rows(gammas, rows, [l_oracle_critical_batch(gammas, chi)[0]
-                                      for chi in (cfg.chi1, cfg.chi2)])
-    else:
-        evaluator.audited_rows(gammas, stride, rows)
-    s1 = neumaier_sum_complex(rows[:, 0].tolist())
-    s2 = neumaier_sum_complex(rows[:, 1].tolist())
-    sum_a, sum_abs2, lower = _cauchy_schwarz(rows[:, 0] - rows[:, 1])
-
-    scale = (t / (2.0 * math.pi)) * math.log(t / (2.0 * math.pi))
-    m1 = cfg.c1.conjugate() * scale
-    m2 = cfg.c2.conjugate() * scale
-    return ThmTwoReport(t=t, n_zeros=len(gammas), sum_a=sum_a,
-                        sum_chi1=s1, sum_chi2=s2,
-                        main_term=m1 - m2, main_chi1=m1, main_chi2=m2,
-                        sum_abs_a2=sum_abs2, lower_bound_count=lower)
+    """Critical-line zero sums up to t: thm2_sweep at the one height t."""
+    return thm2_sweep([t], cfg, audit_rate, method)(zeros)[0]

@@ -96,14 +96,21 @@ def landau_main_term(x, t: float) -> float:
     return -(t / (2.0 * math.pi)) * von_mangoldt(x)
 
 
-def landau_error_budget(x, t: float) -> float:
-    """Sum of the three error expressions with all implied constants 1."""
+def landau_error_budgets(x, ts) -> list[float]:
+    """Sum of the three error expressions with all implied constants 1, at
+    each height T of ts; <x> is found once for them all."""
     x = rational_point(x)
-    if not 1.0 < t < math.inf:  # nan fails the comparison
-        raise PreconditionError(f"error budget needs 1 < T < inf, got {t}")
+    for t in ts:
+        if not 1.0 < t < math.inf:  # nan fails the comparison
+            raise PreconditionError(f"error budget needs 1 < T < inf, got {t}")
     xf = float(x)
     log_x = math.log(xf)
-    b1 = xf * math.log(2.0 * xf * t) * math.log(math.log(3.0 * xf))
-    b2 = log_x * min(t, float(x / nearest_pp_distance(x)))
-    b3 = math.log(2.0 * t) * min(t, 1.0 / log_x)
-    return b1 + b2 + b3
+    x_over_gap = float(x / nearest_pp_distance(x))
+    return [xf * math.log(2.0 * xf * t) * math.log(math.log(3.0 * xf))
+            + log_x * min(t, x_over_gap) + math.log(2.0 * t) * min(t, 1.0 / log_x)
+            for t in ts]
+
+
+def landau_error_budget(x, t: float) -> float:
+    """landau_error_budgets at the one height t."""
+    return landau_error_budgets(x, [t])[0]

@@ -183,9 +183,9 @@ class BPolynomial:
 
     def complex_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """(support, values) arrays for numeric evaluation, ascending n."""
-        ns = np.array(sorted(self.coeffs), dtype=float)
-        cs = np.array([self.coeffs[int(n)].to_complex() for n in ns], dtype=complex)
-        return ns, cs
+        keys = sorted(self.coeffs)  # ints: n above 2^53 does not survive a float
+        cs = np.array([self.coeffs[n].to_complex() for n in keys], dtype=complex)
+        return np.array(keys, dtype=float), cs
 
     def sum_abs_coefficients(self) -> float:
         ns, cs = self.complex_coefficients()
@@ -581,47 +581,45 @@ def _cauchy_schwarz(a_values: np.ndarray) -> tuple[complex, float, float]:
     return sum_a, sum_abs2, lower
 
 
-def _mollifier(chi1: DirichletCharacter, chi2: DirichletCharacter,
-               cutoff: int | None) -> BPolynomial:
-    """B(s, P) at cutoff P; None means max(q, l), as in thm1_report."""
-    if cutoff is None:
-        cutoff = max(chi1.modulus, chi2.modulus)
-    return build_b_polynomial(cutoff, chi1, chi2)
-
-
-def _thm1_sweep(zeros: ZeroTable, ts, sigma: float, bpoly: BPolynomial,
-                predicted_c: complex, audit_rate: float) -> list[MeanValueReport]:
-    """One report per height in ts, in order, from one audited pass to
-    max(ts) with one evaluator and the caller's C = D - E.  A(gamma) does
-    not depend on the height the windows are tabulated to, so the report
-    at T is the prefix up to N(T) of that pass, bit for bit."""
+def thm1_sweep(ts, sigma: float, chi1: DirichletCharacter, chi2: DirichletCharacter,
+               cutoff: int | None = None, audit_rate: float = 0.01):
+    """Check every option and sum C = D - E, then return reports(zeros):
+    one MeanValueReport per height in ts, in order, from one audited pass
+    to max(ts).  No check waits for a zero table; D and E come last: they
+    check sigma, and the series route refuses one whose N it cannot sum.
+    cutoff None is max(q, l), the least prime the nonvanishing argument
+    admits.  A(gamma) does not depend on the height the windows are
+    tabulated to, so the report at T is the prefix up to N(T) of that
+    pass, bit for bit.
+    """
+    if len(ts) == 0 or not all(0.0 <= t < math.inf for t in ts):  # nan fails
+        raise PreconditionError(f"thm1 needs heights 0 <= T < inf, got {list(ts)}")
+    _check_non_principal(chi1, chi2)
     stride = _audit_stride(audit_rate)
-    gammas = zeros.up_to(max(ts))
-    evaluator = ThmOneEvaluator(bpoly, sigma, gammas.max(initial=0.0))
-    a_values = evaluator.audited_rows(gammas, stride, np.empty(len(gammas), dtype=complex))
-    reports = []
-    for t in ts:
-        n = zeros.count(t)
-        sum_a, sum_abs2, lower = _cauchy_schwarz(a_values[:n])
-        reports.append(MeanValueReport(t, n, sum_a, sum_abs2, predicted_c, lower, sigma))
+    bpoly = build_b_polynomial(max(chi1.modulus, chi2.modulus) if cutoff is None
+                               else cutoff, chi1, chi2)
+    predicted_c = predicted_constant(bpoly, sigma)
+
+    def reports(zeros: ZeroTable) -> list[MeanValueReport]:
+        gammas = zeros.up_to(max(ts))
+        evaluator = ThmOneEvaluator(bpoly, sigma, gammas.max(initial=0.0))
+        a_values = evaluator.audited_rows(gammas, stride,
+                                          np.empty(len(gammas), dtype=complex))
+        out = []
+        for t in ts:
+            n = zeros.count(t)
+            sum_a, sum_abs2, lower = _cauchy_schwarz(a_values[:n])
+            out.append(MeanValueReport(t, n, sum_a, sum_abs2, predicted_c, lower, sigma))
+        return out
+
     return reports
 
 
 def thm1_report(zeros: ZeroTable, t: float, sigma: float,
                 chi1: DirichletCharacter, chi2: DirichletCharacter,
                 cutoff: int | None = None, audit_rate: float = 0.01) -> MeanValueReport:
-    """Accumulate sum A(gamma), sum |A|^2 and the Cauchy-Schwarz count bound.
-
-    cutoff = None resolves to max(q, l), the smallest prime admitted by
-    the nonvanishing argument.  audit_rate is the fraction of heights
-    re-evaluated through the oracle; a discrepancy beyond combined
-    bounds raises OracleAuditFailure.  sum_abs_a2 = 0 is reported (with
-    a zero count bound), not raised: it signals that every sampled pair
-    was linearly dependent.
-    """
-    if not 0.0 <= t < math.inf:  # checked before the mollifier; nan fails
-        raise PreconditionError(f"thm1 needs 0 <= T < inf, got {t}")
-    bpoly = _mollifier(chi1, chi2, cutoff)
-    # D and E first: the series route refuses a sigma it cannot reach
-    return _thm1_sweep(zeros, [t], sigma, bpoly, predicted_constant(bpoly, sigma),
-                       audit_rate)[0]
+    """Sum A(gamma), sum |A|^2 and the Cauchy-Schwarz count bound up to t:
+    thm1_sweep at the one height t.  An audit beyond combined bounds raises
+    OracleAuditFailure; sum_abs_a2 = 0 (every sampled pair linearly
+    dependent) is reported with a zero count bound, not raised."""
+    return thm1_sweep([t], sigma, chi1, chi2, cutoff, audit_rate)(zeros)[0]

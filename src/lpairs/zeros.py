@@ -150,7 +150,7 @@ def load_zeros(path) -> ZeroTable:
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8")
+                line = raw.decode("utf-8-sig")  # a byte-order mark is not data
             except UnicodeDecodeError as exc:
                 raise ParseError(f"not UTF-8 text: {exc.reason}", line=lineno) from None
             body = line.split("#", 1)[0].strip()

@@ -142,6 +142,13 @@ def test_thm1_sweep_sums_each_constant_once_per_run(zero_file, tmp_path, monkeyp
     assert kinds == ["d", "e", "d", "e"]
 
 
+def test_thm1_large_cutoff_refused_by_the_series_route(zero_file, capsys):
+    # P = 31 is a configuration error ("raise sigma"), not a traceback
+    # from the mollifier's coefficient lookup
+    assert run(["thm1", "--P", "31", "--T", "100", "--zeros", zero_file]) == 1
+    assert "raise sigma" in capsys.readouterr().err
+
+
 def test_thm2_command(zero_file, tmp_path):
     out = tmp_path / "thm2.csv"
     assert run(["thm2", "--T", "100", "--char1", "3:1", "--char2", "5:2",

@@ -15,6 +15,7 @@ from lpairs.criticalline import (
     choose_p,
     make_config,
     thm2_report,
+    thm2_sweep,
 )
 from lpairs.errors import AccuracyLoss, OracleAuditFailure, PreconditionError
 from lpairs.lfunc import l_oracle, l_oracle_critical_batch
@@ -236,6 +237,40 @@ def test_first_moment_check_is_live(zeros1000, chi3, chi5, first_moment_check):
     for name, mains in planted.items():
         ok, rows = first_moment_check(rep, cfg, mains)
         assert not ok, f"{name}: {rows}"
+
+
+def test_first_moment_check_sees_a_swapped_conjugate(zeros5000, first_moment_check):
+    # for a complex chi2 a main term with C_chi2 in place of conj C_chi2 is
+    # caught at every sweep height; for a real pair (3:1, 5:2) it would
+    # equal the true main term, so this needs the complex 5:1
+    cfg = make_config(character(3, 1), character(5, 1))
+    assert abs(cfg.c2.imag) > 0.5
+    for rep in thm2_sweep([1000.0, 2000.0, 5000.0], cfg)(zeros5000):
+        ok, rows = first_moment_check(rep, cfg)
+        assert ok, rows
+        scale = rep.main_chi2 / cfg.c2.conjugate()
+        ok, rows = first_moment_check(rep, cfg, (rep.main_chi1, cfg.c2 * scale))
+        assert not ok, rows
+
+
+def test_sweep_checks_every_height_before_any_evaluator(chi3, chi5, monkeypatch):
+    # T = 1 used to be found only when the sweep reached it
+    def unreachable(*args):
+        raise AssertionError("built an evaluator before checking every T")
+
+    monkeypatch.setattr(cl, "ThmTwoEvaluator", unreachable)
+    with pytest.raises(PreconditionError, match="2 pi < T"):
+        thm2_sweep([100.0, 1.0], make_config(chi3, chi5))
+    with pytest.raises(PreconditionError):
+        thm2_sweep([], make_config(chi3, chi5))
+
+
+@pytest.mark.parametrize("method", ["afe", "oracle"])
+def test_sweep_equals_separate_reports(zeros100, chi3, chi5, method):
+    cfg = make_config(chi3, chi5)
+    ts = [100.0, 50.0]
+    assert thm2_sweep(ts, cfg, method=method)(zeros100) == [
+        thm2_report(zeros100, t, cfg, method=method) for t in ts]
 
 
 def test_report_audits_table_indices(zeros1000, chi3, chi5, monkeypatch):

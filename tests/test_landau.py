@@ -7,6 +7,7 @@ import pytest
 from lpairs.errors import PreconditionError, RangeExceeded
 from lpairs.landau import (
     landau_error_budget,
+    landau_error_budgets,
     landau_main_term,
     landau_zero_sum,
     nearest_pp_distance,
@@ -238,3 +239,24 @@ def test_budget_rejects_non_finite_heights(t):
     # nan used to return a nan budget
     with pytest.raises(PreconditionError):
         landau_error_budget(2, t)
+
+
+def test_budgets_find_the_prime_power_gap_once(monkeypatch):
+    # a sweep over T used to scan for <x> once per height; one scan serves
+    # them all, and each budget equals the one-height value bit for bit
+    import lpairs.landau as landau_mod
+
+    calls = []
+    counted = landau_mod.prime_power
+
+    def counting(n):
+        calls.append(n)
+        return counted(n)
+
+    monkeypatch.setattr(landau_mod, "prime_power", counting)
+    x, ts = 10 ** 20, [100.0, 1e3, 1e4, 1e5]
+    single = [landau_error_budget(x, t) for t in ts]
+    per_height = len(calls) // len(ts)
+    calls.clear()
+    assert landau_error_budgets(x, ts) == single
+    assert len(calls) == per_height > 0

@@ -20,6 +20,7 @@ from lpairs.meanvalues import (
     series_d,
     series_e,
     thm1_report,
+    thm1_sweep,
 )
 
 GAMMA_1 = 14.134725141734693790
@@ -112,6 +113,16 @@ class TestBPolynomial:
         for p in (2, 3, 5):
             direct *= (1 - chi3(p) * p ** -s) * (1 - chi5(p) * p ** -s)
         assert abs(bpoly.evaluate(s) - direct) < 1e-12
+
+    def test_complex_coefficients_past_two_to_the_53(self, chi3, chi5):
+        # at P = 29 the support reaches 2.79e18 > 2^53, and the lookup by
+        # the float-rounded index raised a KeyError
+        b29 = build_b_polynomial(29, chi3, chi5)
+        keys = sorted(b29.coeffs)
+        assert keys[-1] > 2 ** 53
+        ns, cs = b29.complex_coefficients()
+        assert ns.tolist() == [float(n) for n in keys]
+        assert cs.tolist() == [b29.coeffs[n].to_complex() for n in keys]
 
 
 class TestCoefficients:
@@ -396,6 +407,21 @@ class TestReport:
         monkeypatch.setattr(mv, "build_b_polynomial", unreachable)
         with pytest.raises(PreconditionError, match="0 <= T < inf"):
             thm1_report(zeros100, t, 0.75, chi3, chi5)
+
+    def test_report_refuses_a_principal_character_before_d_and_e(
+            self, zeros100, chi5, monkeypatch):
+        # a principal chi1 used to be refused only by the evaluator, after
+        # the series route had summed D and E
+        import lpairs.meanvalues as mv
+        summed = []
+        monkeypatch.setattr(mv, "_series_route", lambda *a: summed.append(a))
+        with pytest.raises(PreconditionError, match="non-principal"):
+            thm1_report(zeros100, 50.0, 0.75, character(3, 0), chi5)
+        assert summed == []
+
+    def test_sweep_needs_a_height(self, chi3, chi5):
+        with pytest.raises(PreconditionError, match="heights"):
+            thm1_sweep([], 0.75, chi3, chi5)
 
     def test_report_on_empty_table_reports_zero_bound(self, tmp_path, chi3, chi5):
         # a vacuous zero set yields sum_abs_a2 = 0; the count bound is

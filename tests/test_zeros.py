@@ -231,6 +231,17 @@ def test_load_rejects_non_utf8_with_line_number(tmp_path):
     assert err.value.line == 3
 
 
+def test_load_skips_a_byte_order_mark(tmp_path):
+    # a UTF-8 byte-order mark used to be read as part of the first token:
+    # "line 1: bad ordinate '\ufeff14.13...'"
+    text = "14.134725141\n21.022039639\n25.010857580\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert np.array_equal(load_zeros(marked).ordinates, load_zeros(plain).ordinates)
+
+
 def test_ordinates_closer_than_the_precision_rejected(tmp_path):
     # distinct doubles 5e-10 apart pass the ascent check and coincide
     # within ORDINATE_PRECISION = 1e-9
