@@ -25,7 +25,6 @@ from .criticalline import (
     thm2_sweep,
 )
 from .landau import (
-    landau_error_budget,
     landau_error_budgets,
     landau_main_term,
     landau_zero_sum,
@@ -47,7 +46,6 @@ from .meanvalues import (
 )
 from .specfun import (
     hardy_z,
-    hurwitz_zeta,
     log_gamma,
     riemann_siegel_theta,
     x_factor,

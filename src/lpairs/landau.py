@@ -109,8 +109,3 @@ def landau_error_budgets(x, ts) -> list[float]:
     return [xf * math.log(2.0 * xf * t) * math.log(math.log(3.0 * xf))
             + log_x * min(t, x_over_gap) + math.log(2.0 * t) * min(t, 1.0 / log_x)
             for t in ts]
-
-
-def landau_error_budget(x, t: float) -> float:
-    """landau_error_budgets at the one height t."""
-    return landau_error_budgets(x, [t])[0]

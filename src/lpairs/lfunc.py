@@ -8,8 +8,8 @@ x = Delta sqrt(qt/2pi), y = Delta^{-1} sqrt(qt/2pi):
 
 The remainder is an order bound with no explicit constant in the
 literature; the implementation fixes C = 10 and the test grid validates
-it empirically (observed worst ratio is below 0.01, so the certificate
-carries a large margin).  Boundary terms with n = x integral are
+it empirically (observed worst ratio is below 0.01, a large margin; the
+constant is fitted, not proven).  Boundary terms with n = x integral are
 included in the first window; both windows use the same convention.
 Any real Delta >= 1 is accepted.
 
@@ -61,9 +61,9 @@ from .specfun import hurwitz_zeta_certified
 AFE_REMAINDER_CONSTANT = 10.0
 ORACLE_TOL = 1e-11  # Euler-Maclaurin truncation tolerance per Hurwitz term
 _AFE_MIN_HEIGHT = 10.0  # below this the Stirling-regime bound degrades
-# heights per AFE group, and per PairEvaluator block, at most: a group's
-# phase matrix and its products then stay near 100 kB at the window lengths
-# of thm2 at T = 1e4, where runs of equal lengths reach 259 heights (1.1 MB)
+# heights per PairEvaluator block: its AFE groups' phase matrices and their
+# products then stay near 100 kB at the window lengths of thm2 at T = 1e4,
+# where runs of equal lengths reach 259 heights (1.1 MB)
 _GROUP_ROWS = 64
 # heights per oracle block; each block's largest |t| sets the kernel's N
 _ORACLE_BLOCK = 512
@@ -71,7 +71,7 @@ _ORACLE_BLOCK = 512
 
 @dataclass(frozen=True)
 class LValue:
-    """A complex L-value with a certified absolute error bound."""
+    """A complex L-value with an absolute error bound, certified for the oracle only."""
 
     value: complex
     bound: float
@@ -79,7 +79,8 @@ class LValue:
 
 
 def afe_remainder_bound(sigma: float, t: float, q: int, delta: float) -> float:
-    """Certified |R| for the two-window split at height t."""
+    """The |R| bound for the two-window split at height t, with the fitted
+    C = AFE_REMAINDER_CONSTANT: an empirical bound, not a proven one."""
     root = math.sqrt(q * t / (2.0 * math.pi))
     x = delta * root
     y = root / delta
@@ -93,12 +94,13 @@ class AfeWindows:
 
     Tabulates chi(n) n^{-sigma}, conj chi(m) m^{sigma-1} and log n out to
     the first window at t_max.  A batch of heights is taken one group at
-    a time, a group being a run of at most _GROUP_ROWS consecutive heights
-    with the same window lengths (k, j): each group forms one phase matrix
+    a time, a group being a run of consecutive heights with the same
+    window lengths (k, j): each group forms one phase matrix
     e^{-i t log n}, a row per height, and the second window's phases
-    e^{i t log m} are its conjugates.  numpy gives each row sum the same
-    pairwise summation as a one-height array, so every value is the bits
-    of that height evaluated alone.
+    e^{i t log m} are its conjugates (PairEvaluator.rows passes batches of
+    _GROUP_ROWS heights).  numpy gives each row sum the same pairwise
+    summation as a one-height array, so every value is the bits of that
+    height evaluated alone.
     """
 
     def __init__(self, chi: DirichletCharacter, sigma: float, delta: float,
@@ -133,7 +135,6 @@ class AfeWindows:
         firsts = np.empty(len(ts), dtype=complex)
         seconds = np.empty(len(ts), dtype=complex)
         step = (k[1:] != k[:-1]) | (j[1:] != j[:-1])
-        step[_GROUP_ROWS - 1::_GROUP_ROWS] = True
         edges = [0, *(np.flatnonzero(step) + 1).tolist()] if len(ts) else []
         for lo, hi in zip(edges, edges[1:] + [len(ts)]):
             kg, jg = int(k[lo]), int(j[lo])

@@ -178,9 +178,6 @@ class BPolynomial:
     def primes(self) -> list[int]:
         return primes_upto(self.cutoff)
 
-    def coefficient(self, n: int) -> RootSum:
-        return self.coeffs.get(n, RootSum.zero(self.order))
-
     def complex_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """(support, values) arrays for numeric evaluation, ascending n."""
         keys = sorted(self.coeffs)  # ints: n above 2^53 does not survive a float
@@ -190,11 +187,6 @@ class BPolynomial:
     def sum_abs_coefficients(self) -> float:
         ns, cs = self.complex_coefficients()
         return float(np.sum(np.abs(cs)))
-
-    def evaluate(self, s: complex) -> complex:
-        """B(s, P) = sum_n c_n n^{-s} over the (sparse) support."""
-        ns, cs = self.complex_coefficients()
-        return complex(np.sum(cs * ns ** (-complex(s))))
 
 
 def build_b_polynomial(cutoff: int, chi1: DirichletCharacter,
@@ -287,9 +279,6 @@ class CoefficientSeries:
             raise ClosedFormMismatch(
                 f"{self.kind}_{n}: convolution {conv!r} != closed form {closed!r}")
         return conv
-
-    def coeff(self, n: int) -> complex:
-        return self.exact(n).to_complex()
 
     def truncated(self, n: int, t: float) -> RootSum:
         """d'_n(t): sum_{n = k m} c_k chi(m) restricted to m <= sqrt(q l t / 2 pi).
@@ -507,10 +496,6 @@ class ThmOneEvaluator(PairEvaluator):
         super().__init__(bpoly.chi1, bpoly.chi2, sigma,
                          (math.sqrt(bpoly.chi2.modulus), 1.0), t_max,
                          np.log(ns), cs * ns ** (-sigma))
-
-    def a_value(self, gamma: float) -> complex:
-        lv1, lv2 = self.l_values(gamma)
-        return _statistic(self.b_value(gamma), lv1.value, lv2.value)
 
     def a_value_oracle(self, gamma: float) -> complex:
         s = complex(self.sigma, gamma)

@@ -86,15 +86,3 @@ def prime_power(n: int):
         if r ** k == n and is_prime(r):
             return r, k
     return None
-
-
-def prime_powers_upto(limit: int) -> list[int]:
-    """All prime powers p**k <= limit, ascending."""
-    out = []
-    for p in primes_upto(limit):
-        v = p
-        while v <= limit:
-            out.append(v)
-            v *= p
-    out.sort()
-    return out

@@ -21,18 +21,17 @@ sigma, tol), the least N at which its own Backlund bound meets tol (about
 Hurwitz zeta use it.  The zero engine's Z passes _em_terms(max|t|) =
 0.62 max|t| + 8, because the committed zero tables pin that N: at the
 shorter N some ordinates move by up to 1e-10.
-The scalar routes are batches of one height and one shift: hurwitz_zeta,
-zeta_em (a = 1) and hardy_z, which is _hardy_z_em on one height.  The zero
-engine's Z below t = 200 is _hardy_z_em too.  From t = 200 the zero
-engine's batched Z takes the Riemann-Siegel formula with the corrections
-C_0..C_4 (about sqrt(t/2pi) terms) and certifies each value with
-Gabcke's remainder bound |R_4(t)| <= 0.017 t^(-11/4) plus a
-float-rounding allowance B_RS.  A value too close to zero for that
-certificate to fix its sign,
-|Z_RS| <= B_RS + B_EM with B_EM the a priori Euler-Maclaurin bound, is
-recomputed by Euler-Maclaurin, so every sign the batch returns is the
-Euler-Maclaurin sign; one Riemann-Siegel value per batch is audited
-against Euler-Maclaurin.
+The scalar routes are batches of one height and one shift:
+hurwitz_zeta_certified, zeta_em (a = 1) and hardy_z, which is _hardy_z_em
+on one height.  The zero engine's Z below t = 200 is _hardy_z_em too.
+From t = 200 the zero engine's batched Z takes the Riemann-Siegel formula
+with the corrections C_0..C_4 (about sqrt(t/2pi) terms) and certifies
+each value with Gabcke's remainder bound |R_4(t)| <= 0.017 t^(-11/4)
+plus a float-rounding allowance B_RS.  A value too close to zero for
+that certificate to fix its sign, |Z_RS| <= B_RS + B_EM with B_EM the
+a priori Euler-Maclaurin bound, is recomputed by Euler-Maclaurin, so
+every sign the batch returns is the Euler-Maclaurin sign; one
+Riemann-Siegel value per batch is audited against Euler-Maclaurin.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .errors import (
 _EPS = 2.220446049250313e-16
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _EULER_GAMMA = 0.5772156649015329
-_SCALAR_TOL = 1e-12   # Euler-Maclaurin truncation of hurwitz_zeta, zeta_em, hardy_z
+_SCALAR_TOL = 1e-12   # Euler-Maclaurin truncation of the scalar routes
 _Z_BATCH_TOL = 1e-11  # Euler-Maclaurin truncation of the zero engine's batched Z
 
 # Lanczos g=7, 9-term coefficient set (15-digit accuracy for Re z >= 1.5).
@@ -399,11 +398,6 @@ def _hurwitz_critical_batch(ts: np.ndarray, shifts, tol: float, sigma: float,
     return values, np.exp(log_trunc[:, stop]) + 4.0 * rounding + _EPS * worst
 
 
-def hurwitz_zeta(s, a) -> complex:
-    """zeta(s, a) for 0 < a <= 1, s != 1; hurwitz_zeta(s, 1) == zeta_em(s)."""
-    return hurwitz_zeta_certified(s, a)[0]
-
-
 def hurwitz_zeta_certified(s, a) -> tuple[complex, float]:
     """(value, certified absolute error bound) for zeta(s, a)."""
     s = complex(s)
@@ -570,13 +564,3 @@ def x_factor(s, chi: DirichletCharacter) -> complex:
     a = chi.parity
     ratio = cmath.exp(log_gamma((1.0 - s + a) / 2.0) - log_gamma((s + a) / 2.0))
     return epsilon_factor(chi) * (q / math.pi) ** (0.5 - s) * ratio
-
-
-def x_factor_modulus_constant(sigma: float) -> float:
-    """The Stirling constant A(sigma) in |X(sigma+it, chi)|^2 ~ A (q/pi)^{1-2s} t^{1-2s}.
-
-    From |Gamma(x + iy)| ~ sqrt(2 pi) |y|^{x - 1/2} e^{-pi |y| / 2}:
-    the Gamma-ratio modulus behaves like (t/2)^{(1-2 sigma)/2}, so
-    A = 2^{2 sigma - 1}.  Tests fit A empirically and compare.
-    """
-    return 2.0 ** (2.0 * sigma - 1.0)

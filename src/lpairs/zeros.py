@@ -8,10 +8,10 @@ fix its sign.  The engine reads only signs, and each sign is the one
 Euler-Maclaurin gives, so the grid, the bisection and the gap audit
 decide exactly as an Euler-Maclaurin-only engine would.
 
-Completeness is certified by the Riemann-von Mangoldt count (not
-Turing's method -- at desk heights the RvM band with slack
-2 + 0.5 log T is empirically sufficient and far simpler).  All
-downstream sums only need a complete ordered list.
+Completeness is checked, not certified, by the Riemann-von Mangoldt
+count band with slack 2 + 0.5 log T (not Turing's method).  The band does
+not see a few missing zeros: it accepts zeros_5000.txt with up to four
+consecutive zeros deleted.  Downstream sums need a complete ordered list.
 
 Ordinate precision target is ORDINATE_PRECISION = 1e-9: downstream
 terms x^{i gamma} with x <= 1e4 amplify ordinate error by log x <= 10,
@@ -116,7 +116,7 @@ def _validate_ordinates(gammas: np.ndarray, context: str) -> None:
 
 
 def _rvm_coverage(gammas: np.ndarray) -> float:
-    """Largest height a file table provably covers.
+    """Largest height the RvM band admits for a file table.
 
     A file ends at its last ordinate, but the absence of further entries
     is consistent with completeness up to the height where the RvM
@@ -262,10 +262,10 @@ def _gap_audit(gammas: np.ndarray, t_max: float) -> np.ndarray:
 def compute_zeros(t_max: float) -> ZeroTable:
     """All zeros with gamma <= t_max, bisection-refined to 1e-9.
 
-    Completeness is certified in two layers: wide-gap rescans (which
+    Completeness is checked in two layers: wide-gap rescans (which
     catch close pairs that slip between grid points) and the RvM count
-    invariant.  A table that still fails the count check raises
-    MissedZero.
+    band, which does not see a few missing zeros.  A table that still
+    fails the count check raises MissedZero.
     """
     if not 15.0 <= t_max <= 1e4:
         raise PreconditionError(f"compute_zeros needs 15 <= T <= 1e4, got {t_max}")

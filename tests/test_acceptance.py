@@ -13,7 +13,7 @@ import pytest
 
 from lpairs.characters import character, gauss_sum
 from lpairs.criticalline import make_config, thm2_report
-from lpairs.landau import landau_error_budget, landau_main_term, landau_zero_sum
+from lpairs.landau import landau_error_budgets, landau_main_term, landau_zero_sum
 from lpairs.lfunc import l_afe, l_oracle
 from lpairs.meanvalues import (
     CoefficientSeries,
@@ -100,7 +100,7 @@ def test_criterion_4_gonek_landau(zeros5000):
     for x in (2, 3, 4, 5, 8, 9):
         s = landau_zero_sum(x, zeros5000, t)
         main = landau_main_term(x, t)
-        slack = max(5.0 * landau_error_budget(x, t), 0.2 * abs(main))
+        slack = max(5.0 * landau_error_budgets(x, [t])[0], 0.2 * abs(main))
         err = abs(s.real - main)
         ok &= err <= slack
         details.append(f"x={x}: |dev|={err:.0f}<=slack {slack:.0f}")

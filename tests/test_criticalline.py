@@ -273,6 +273,18 @@ def test_sweep_equals_separate_reports(zeros100, chi3, chi5, method):
         thm2_report(zeros100, t, cfg, method=method) for t in ts]
 
 
+@pytest.mark.parametrize("method", ["afe", "oracle"])
+def test_sweep_over_two_oracle_blocks_equals_separate_reports(zeros1000, chi3, chi5,
+                                                             method):
+    # 649 zeros up to 1000, 341 of them up to 600: the oracle runs the
+    # sweep in two blocks of at most 512 heights, on the thread pool
+    cfg = make_config(chi3, chi5)
+    ts = [600.0, 1000.0]
+    assert len(zeros1000.up_to(1000.0)) > lfunc._ORACLE_BLOCK >= len(zeros1000.up_to(600.0))
+    assert thm2_sweep(ts, cfg, method=method)(zeros1000) == [
+        thm2_report(zeros1000, t, cfg, method=method) for t in ts]
+
+
 def test_report_audits_table_indices(zeros1000, chi3, chi5, monkeypatch):
     # the audit stride counts table indices: rate 0.01 audits the 649
     # zeros below 1000 at indices 0, 100, ..., 600, each once

@@ -6,7 +6,6 @@ import pytest
 
 from lpairs.errors import PreconditionError, RangeExceeded
 from lpairs.landau import (
-    landau_error_budget,
     landau_error_budgets,
     landau_main_term,
     landau_zero_sum,
@@ -14,8 +13,21 @@ from lpairs.landau import (
     rational_point,
     von_mangoldt,
 )
-from lpairs.primes import _integer_root, is_prime, prime_power, prime_powers_upto
+from lpairs.primes import _integer_root, is_prime, prime_power, primes_upto
 from lpairs.summation import neumaier_sum_complex
+
+
+def sieved_prime_powers(limit: int) -> list[int]:
+    """All prime powers p**k <= limit, ascending: the sieve's primes and
+    their powers, a reference independent of prime_power."""
+    out = []
+    for p in primes_upto(limit):
+        v = p
+        while v <= limit:
+            out.append(v)
+            v *= p
+    out.sort()
+    return out
 
 
 def test_rational_point_parsing():
@@ -112,7 +124,7 @@ def test_nearest_pp_distance_basics():
 def test_nearest_pp_distance_is_exact_fraction():
     d = nearest_pp_distance(Fraction(100001, 100))
     # 1000.01 sits next to the prime 997 and prime power 1009; exact arithmetic
-    pps = [v for v in prime_powers_upto(2100)]
+    pps = [v for v in sieved_prime_powers(2100)]
     best = min(abs(Fraction(100001, 100) - v) for v in pps)
     assert d == best
 
@@ -121,7 +133,7 @@ def test_nearest_pp_distance_matches_brute_force():
     # the outward scan against the minimum over every prime power up to
     # 2x + 1, at every half and integer x in [3/2, 2000], prime powers
     # among them; in units of 1/2, so the minimum is integer arithmetic
-    doubled = [2 * v for v in prime_powers_upto(4001)]
+    doubled = [2 * v for v in sieved_prime_powers(4001)]
     for x2 in range(3, 4001):
         best = min(abs(x2 - v2) for v2 in doubled if v2 != x2)
         assert nearest_pp_distance(Fraction(x2, 2)) == Fraction(best, 2), x2
@@ -175,7 +187,7 @@ def test_main_term_recovery_at_1000(zeros1000):
     s = landau_zero_sum(2, zeros1000, t)
     main = landau_main_term(2, t)
     assert main == pytest.approx(-(t / (2 * math.pi)) * math.log(2), rel=1e-12)
-    budget = landau_error_budget(2, t)
+    budget = landau_error_budgets(2, [t])[0]
     assert abs(s.real - main) <= 5.0 * budget
 
 
@@ -189,7 +201,7 @@ def test_main_term_recovery_sweep(zeros5000):
         for t in (1000.0, 2000.0, 5000.0):
             s = landau_zero_sum(x, zeros5000, t)
             main = landau_main_term(x, t)
-            slack = max(5.0 * landau_error_budget(x, t), 0.2 * abs(main))
+            slack = max(5.0 * landau_error_budgets(x, [t])[0], 0.2 * abs(main))
             assert abs(s.real - main) <= slack
 
 
@@ -216,14 +228,14 @@ def test_budget_symbolic_recomputation():
     expected = (2.0 * math.log(2.0 * 2.0 * t) * math.log(math.log(6.0))
                 + math.log(2.0) * min(t, 2.0 / 1.0)
                 + math.log(2.0 * t) * min(t, 1.0 / math.log(2.0)))
-    assert landau_error_budget(x, t) == pytest.approx(expected, rel=1e-12)
+    assert landau_error_budgets(x, [t])[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_budget_min_saturation_near_one():
     # 1/log x >= T forces the third piece to T log 2T
     x = Fraction(10 ** 6 + 1, 10 ** 6)
     t = 100.0
-    budget = landau_error_budget(x, t)
+    budget = landau_error_budgets(x, [t])[0]
     third = math.log(2.0 * t) * t
     assert budget >= third
     assert min(t, 1.0 / math.log(float(x))) == t
@@ -231,14 +243,14 @@ def test_budget_min_saturation_near_one():
 
 def test_budget_requires_valid_domain():
     with pytest.raises(PreconditionError):
-        landau_error_budget(2, 0.5)
+        landau_error_budgets(2, [0.5])[0]
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_budget_rejects_non_finite_heights(t):
     # nan used to return a nan budget
     with pytest.raises(PreconditionError):
-        landau_error_budget(2, t)
+        landau_error_budgets(2, [t])[0]
 
 
 def test_budgets_find_the_prime_power_gap_once(monkeypatch):
@@ -255,7 +267,7 @@ def test_budgets_find_the_prime_power_gap_once(monkeypatch):
 
     monkeypatch.setattr(landau_mod, "prime_power", counting)
     x, ts = 10 ** 20, [100.0, 1e3, 1e4, 1e5]
-    single = [landau_error_budget(x, t) for t in ts]
+    single = [landau_error_budgets(x, [t])[0] for t in ts]
     per_height = len(calls) // len(ts)
     calls.clear()
     assert landau_error_budgets(x, ts) == single
