@@ -139,14 +139,14 @@ def _cmd_thm1(args) -> None:
     cutoff = None if args.cutoff == "auto" else int(args.cutoff)
     _write_sweep(args, MeanValueReport.CSV_HEADER, thm1_sweep(
         args.t_values, args.sigma, parse_character(args.char1),
-        parse_character(args.char2), cutoff, args.audit_rate))
+        parse_character(args.char2), cutoff))
 
 
 def _cmd_thm2(args) -> None:
     cfg = make_config(parse_character(args.char1), parse_character(args.char2),
                       None if args.p == "auto" else int(args.p))
     _write_sweep(args, ThmTwoReport.CSV_HEADER,
-                 thm2_sweep(args.t_values, cfg, args.audit_rate, args.method))
+                 thm2_sweep(args.t_values, cfg, args.method))
     print(f"thm2: p = {cfg.p}, C1 = {cfg.c1:.6f}, C2 = {cfg.c2:.6f}",
           file=sys.stderr)
 
@@ -189,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char2", default="5:1", help='second character as "q:j"')
     p.add_argument("--P", dest="cutoff", default="auto",
                    help='mollifier cutoff prime, or "auto" for max(q, l)')
-    p.add_argument("--oracle-audit", dest="audit_rate", type=float, default=0.01,
-                   help="fraction of zeros re-checked through the oracle, in [0, 1]")
     common(p)
     p.set_defaults(func=_cmd_thm1)
 
@@ -199,11 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char2", default="5:1")
     p.add_argument("--p", default="auto",
                    help='auxiliary prime, or "auto" for the CRT sieve choice')
-    p.add_argument("--oracle-audit", dest="audit_rate", type=float, default=0.01,
-                   help="fraction of zeros re-checked through the oracle, in [0, 1]; "
-                        "validated but unused under --method oracle")
     p.add_argument("--method", choices=("afe", "oracle"), default="afe",
-                   help='"afe" (fast windows with sampled oracle audits) or '
+                   help='"afe" (fast windows, audited at every 100th zero) or '
                         '"oracle" (certified Hurwitz values at every zero)')
     common(p)
     p.set_defaults(func=_cmd_thm2)

@@ -32,12 +32,13 @@ device; the workbench verifies the consequences by direct zero sums.
 Zeros are sampled at numerically computed ordinates, which lie on the
 critical line at desk heights, so rho = 1/2 + i gamma throughout.
 
-thm2_sweep is thm1_sweep with another statistic: B = p^s and the
-zero loop are lfunc.PairEvaluator's, the audit verdict and the reducer
-meanvalues._check_audit and _cauchy_schwarz.  method "oracle" hands that
-loop one l_oracle_critical_batch array per character over the whole
-table, which lfunc runs in blocks on threads.  Every reduction stays
-serial, so both routes give the same bits on any number of CPUs.
+thm2_sweep is thm1_sweep with another statistic: B = p^s, the zero
+loop and where it audits are lfunc.PairEvaluator's, the audit verdict and
+the reducer meanvalues._check_audit and _cauchy_schwarz.  method "oracle"
+hands that loop one l_oracle_critical_batch array per character over the
+whole table, which lfunc runs in blocks on threads, and no audit runs.
+Every reduction stays serial, so both routes give the same bits on any
+number of CPUs.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 from .characters import DirichletCharacter, _check_non_principal, gauss_sum
 from .errors import PreconditionError, SearchExhausted
 from .lfunc import PairEvaluator, l_oracle, l_oracle_critical_batch
-from .meanvalues import _audit_stride, _cauchy_schwarz, _check_audit, _csv_row
+from .meanvalues import _cauchy_schwarz, _check_audit, _csv_row
 from .primes import is_prime
 # perfbench/spans.py wraps x_factor and neumaier_sum by this module's
 # attributes, so the names stay importable here
@@ -174,33 +175,28 @@ class ThmTwoReport:
                          self.lower_bound_count, self.lower_bound_count / self.t])
 
 
-def thm2_sweep(ts, cfg: CriticalLineConfig, audit_rate: float = 0.01,
-               method: str = "afe"):
+def thm2_sweep(ts, cfg: CriticalLineConfig, method: str = "afe"):
     """Check every option, then return reports(zeros): one ThmTwoReport per
     height in ts, in order, each its own pass, as the oracle blocks size N
-    from each block's top height.  method "afe" uses the fast windows with
-    sampled oracle audits; "oracle" evaluates every height through the
-    batched Hurwitz route, for bias-free first moments at about 4x the AFE
-    route's CPU time at T = 1e4.  The per-character first moments are
-    reported beside the noisier difference, and the count bound is read
-    against c*T rather than N(T).
+    from each block's top height.  method "afe" uses the fast windows,
+    which PairEvaluator.rows audits against the oracle; "oracle" evaluates
+    every height through the batched Hurwitz route, for bias-free first
+    moments at about 4x the AFE route's CPU time at T = 1e4.  The
+    per-character first moments are reported beside the noisier
+    difference, and the count bound is read against c*T rather than N(T).
     """
     if len(ts) == 0 or not all(2.0 * math.pi < t < math.inf for t in ts):
         # log(T/2pi) > 0 at each T; nan fails the comparison
         raise PreconditionError(f"thm2 needs heights 2 pi < T < inf, got {list(ts)}")
     if method not in ("afe", "oracle"):
         raise PreconditionError(f"method must be 'afe' or 'oracle', got {method!r}")
-    stride = _audit_stride(audit_rate)
 
     def report(zeros: ZeroTable, t: float) -> ThmTwoReport:
         gammas = zeros.up_to(t)
-        evaluator = ThmTwoEvaluator(cfg, gammas.max(initial=0.0))
-        rows = np.empty((len(gammas), 2), dtype=complex)
-        if method == "oracle":
-            evaluator.rows(gammas, rows, [l_oracle_critical_batch(gammas, chi)[0]
+        rows = ThmTwoEvaluator(cfg, gammas.max(initial=0.0)).rows(
+            gammas, np.empty((len(gammas), 2), dtype=complex),
+            None if method == "afe" else [l_oracle_critical_batch(gammas, chi)[0]
                                           for chi in (cfg.chi1, cfg.chi2)])
-        else:
-            evaluator.audited_rows(gammas, stride, rows)
         s1 = neumaier_sum_complex(rows[:, 0].tolist())
         s2 = neumaier_sum_complex(rows[:, 1].tolist())
         sum_a, sum_abs2, lower = _cauchy_schwarz(rows[:, 0] - rows[:, 1])
@@ -217,6 +213,6 @@ def thm2_sweep(ts, cfg: CriticalLineConfig, audit_rate: float = 0.01,
 
 
 def thm2_report(zeros: ZeroTable, t: float, cfg: CriticalLineConfig,
-                audit_rate: float = 0.01, method: str = "afe") -> ThmTwoReport:
+                method: str = "afe") -> ThmTwoReport:
     """Critical-line zero sums up to t: thm2_sweep at the one height t."""
-    return thm2_sweep([t], cfg, audit_rate, method)(zeros)[0]
+    return thm2_sweep([t], cfg, method)(zeros)[0]

@@ -22,7 +22,8 @@ x_factor call and one Python complex sum per height.  AfeWindows.value(t)
 is values on one height with the remainder bound; l_afe builds the table
 for its single height.  Both theorems read a Dirichlet polynomial B
 (dirichlet_values, also landau's x^rho) beside L(s, chi1), L(s, chi2) at
-every zero, in the one loop over a zero table, PairEvaluator.rows.
+every zero, in the one loop over a zero table, PairEvaluator.rows, which
+audits its AFE values at every _AUDIT_STRIDE-th zero for both theorems.
 
 l_oracle is the slow independent evaluator through Hurwitz zeta:
 L(s, chi) = q^{-s} sum_{a=1}^{q} chi(a) zeta(s, a/q), certified to 1e-9.
@@ -67,6 +68,8 @@ _AFE_MIN_HEIGHT = 10.0  # below this the Stirling-regime bound degrades
 _GROUP_ROWS = 64
 # heights per oracle block; each block's largest |t| sets the kernel's N
 _ORACLE_BLOCK = 512
+# table indices per oracle audit: rows audits indices 0, 100, 200, ...
+_AUDIT_STRIDE = 100
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,7 @@ class PairEvaluator:
     """(B, L(s, chi1), L(s, chi2)) at s = sigma + i gamma: B the Dirichlet
     polynomial dirichlet_values(b_log, b_amp, gamma), the L-values AFE
     values of windows Delta = deltas tabulated to t_max.  rows is the one
-    loop over a zero table; a subclass defines _row(b, l1, l2) and audit."""
+    audited loop over a zero table; a subclass defines _row(b, l1, l2) and audit."""
 
     def __init__(self, chi1: DirichletCharacter, chi2: DirichletCharacter, sigma: float,
                  deltas: tuple[float, float], t_max: float, b_log, b_amp):
@@ -217,7 +220,11 @@ class PairEvaluator:
     def rows(self, gammas: np.ndarray, out: np.ndarray, lvalues=None) -> np.ndarray:
         """out[i] = _row(B, L1, L2) at gammas[i], the bits of that height
         alone, filled _GROUP_ROWS heights at a time and returned; lvalues =
-        (L1 array, L2 array) over gammas replaces the AFE values."""
+        (L1 array, L2 array) over gammas replaces the AFE values, which are
+        otherwise audited first at indices 0, _AUDIT_STRIDE, 2 _AUDIT_STRIDE, ..."""
+        if lvalues is None:
+            for g in gammas[::_AUDIT_STRIDE].tolist():
+                self.audit(g)
         for lo in range(0, len(gammas), _GROUP_ROWS):
             ts = gammas[lo:lo + _GROUP_ROWS]
             ls = ((self._win1.values(ts), self._win2.values(ts)) if lvalues is None
@@ -225,15 +232,6 @@ class PairEvaluator:
             out[lo:lo + len(ts)] = [self._row(b, l1, l2) for b, l1, l2 in zip(
                 self.b_values(ts).tolist(), *ls)]
         return out
-
-    def audited_rows(self, gammas: np.ndarray, stride: int,
-                     out: np.ndarray) -> np.ndarray:
-        """rows(gammas, out) after audit(gamma) at table indices 0, stride,
-        2 stride, ... (none when stride is 0)."""
-        if stride:
-            for g in gammas[::stride].tolist():
-                self.audit(g)
-        return self.rows(gammas, out)
 
 
 def l_via_hurwitz(table, sigma: float, ts, tol: float) -> tuple[np.ndarray, float]:

@@ -315,6 +315,22 @@ def _twist_table(chi_a: DirichletCharacter, chi_b: DirichletCharacter) -> np.nda
                     dtype=complex)
 
 
+def _series_size(sum_abs: float, inner: DirichletCharacter, other: DirichletCharacter,
+                 sigma: float, tol_tail: float) -> tuple[float, int]:
+    """(2 sum_abs S_max(xi), N) for the series route of a mollifier with
+    sum |c_k| = sum_abs; refuses an N above 8e8."""
+    twist = _twist_table(inner, other)
+    s_max = float(np.max(np.abs(np.cumsum(twist))))  # S_max(xi): largest |prefix sum|
+    structural = 2.0 * sum_abs * s_max
+    n_limit = int(math.ceil((structural / tol_tail) ** (1.0 / (2.0 * sigma))))
+    n_limit = max(n_limit, 1000)
+    if n_limit > 8 * 10 ** 8:
+        raise PreconditionError(
+            f"series route needs N = {n_limit:.3g} terms at sigma = {sigma}; "
+            "raise sigma or lower P")
+    return structural, n_limit
+
+
 def _series_route(series: CoefficientSeries, sigma: float,
                   tol_tail: float) -> tuple[complex, float, int]:
     """Direct truncated Dirichlet series sum_{n <= N} a_n n^{-2 sigma}.
@@ -341,15 +357,8 @@ def _series_route(series: CoefficientSeries, sigma: float,
     """
     bpoly = series.bpoly
     inner, other = series.inner, series.other
-    twist = _twist_table(inner, other)
-    s_max = float(np.max(np.abs(np.cumsum(twist))))  # S_max(xi): largest |prefix sum|
-    structural = 2.0 * bpoly.sum_abs_coefficients() * s_max
-    n_limit = int(math.ceil((structural / tol_tail) ** (1.0 / (2.0 * sigma))))
-    n_limit = max(n_limit, 1000)
-    if n_limit > 8 * 10 ** 8:
-        raise PreconditionError(
-            f"series route needs N = {n_limit:.3g} terms at sigma = {sigma}; "
-            "raise sigma")
+    structural, n_limit = _series_size(bpoly.sum_abs_coefficients(), inner, other,
+                                       sigma, tol_tail)
 
     mod_inner = inner.modulus
     mod_other = other.modulus
@@ -547,14 +556,6 @@ class MeanValueReport:
                          self.lower_bound_count, frac])
 
 
-def _audit_stride(audit_rate: float) -> int:
-    """Heights per oracle audit for a rate in [0, 1]; 0 means no audits."""
-    if not 0.0 <= audit_rate <= 1.0:  # also catches nan
-        raise PreconditionError(f"audit rate must lie in [0, 1], got {audit_rate}")
-    # 1 / rate overflows below 5.6e-309; a stride of 1e300 audits index 0 only
-    return int(round(1.0 / max(audit_rate, 1e-300))) if audit_rate > 0 else 0
-
-
 def _cauchy_schwarz(a_values: np.ndarray) -> tuple[complex, float, float]:
     """(sum A, sum |A|^2, |sum A|^2 / sum |A|^2), the last a lower bound for
     #{A != 0}; it is 0 when every A vanishes.  The sums run in table order
@@ -567,29 +568,32 @@ def _cauchy_schwarz(a_values: np.ndarray) -> tuple[complex, float, float]:
 
 
 def thm1_sweep(ts, sigma: float, chi1: DirichletCharacter, chi2: DirichletCharacter,
-               cutoff: int | None = None, audit_rate: float = 0.01):
+               cutoff: int | None = None):
     """Check every option and sum C = D - E, then return reports(zeros):
     one MeanValueReport per height in ts, in order, from one audited pass
-    to max(ts).  No check waits for a zero table; D and E come last: they
-    check sigma, and the series route refuses one whose N it cannot sum.
-    cutoff None is max(q, l), the least prime the nonvanishing argument
-    admits.  A(gamma) does not depend on the height the windows are
-    tabulated to, so the report at T is the prefix up to N(T) of that
-    pass, bit for bit.
+    to max(ts).  No check waits for a zero table, and sigma and the series
+    route's N are checked before B(s, P) is expanded: its sum |c_n| is
+    prod_{p <= P} (1 + |chi1(p) + chi2(p)| + |chi1(p) chi2(p)|).  cutoff
+    None is max(q, l), the least prime the nonvanishing argument admits.
+    A(gamma) does not depend on the height the windows are tabulated to,
+    so the report at T is the prefix up to N(T) of that pass, bit for bit.
     """
     if len(ts) == 0 or not all(0.0 <= t < math.inf for t in ts):  # nan fails
         raise PreconditionError(f"thm1 needs heights 0 <= T < inf, got {list(ts)}")
     _check_non_principal(chi1, chi2)
-    stride = _audit_stride(audit_rate)
-    bpoly = build_b_polynomial(max(chi1.modulus, chi2.modulus) if cutoff is None
-                               else cutoff, chi1, chi2)
+    _check_sigma(sigma)
+    cutoff = max(chi1.modulus, chi2.modulus) if cutoff is None else cutoff
+    if is_prime(cutoff):  # else build_b_polynomial refuses it without a sieve
+        _series_size(math.prod(1.0 + abs(chi1(p) + chi2(p)) + abs(chi1(p) * chi2(p))
+                               for p in primes_upto(cutoff)),
+                     chi1, chi2, sigma, _SERIES_TAIL_TOL)
+    bpoly = build_b_polynomial(cutoff, chi1, chi2)
     predicted_c = predicted_constant(bpoly, sigma)
 
     def reports(zeros: ZeroTable) -> list[MeanValueReport]:
         gammas = zeros.up_to(max(ts))
         evaluator = ThmOneEvaluator(bpoly, sigma, gammas.max(initial=0.0))
-        a_values = evaluator.audited_rows(gammas, stride,
-                                          np.empty(len(gammas), dtype=complex))
+        a_values = evaluator.rows(gammas, np.empty(len(gammas), dtype=complex))
         out = []
         for t in ts:
             n = zeros.count(t)
@@ -602,9 +606,9 @@ def thm1_sweep(ts, sigma: float, chi1: DirichletCharacter, chi2: DirichletCharac
 
 def thm1_report(zeros: ZeroTable, t: float, sigma: float,
                 chi1: DirichletCharacter, chi2: DirichletCharacter,
-                cutoff: int | None = None, audit_rate: float = 0.01) -> MeanValueReport:
+                cutoff: int | None = None) -> MeanValueReport:
     """Sum A(gamma), sum |A|^2 and the Cauchy-Schwarz count bound up to t:
     thm1_sweep at the one height t.  An audit beyond combined bounds raises
     OracleAuditFailure; sum_abs_a2 = 0 (every sampled pair linearly
     dependent) is reported with a zero count bound, not raised."""
-    return thm1_sweep([t], sigma, chi1, chi2, cutoff, audit_rate)(zeros)[0]
+    return thm1_sweep([t], sigma, chi1, chi2, cutoff)(zeros)[0]

@@ -171,20 +171,6 @@ def test_a2_afe_within_certified_bounds(chi3, chi5):
     assert abs(afe - orc) <= math.sqrt(7) * (lv1.bound + lv2.bound)
 
 
-@pytest.mark.parametrize("rate", [3.0, -1.0, math.nan, math.inf])
-def test_report_rejects_out_of_range_audit_rate(zeros100, chi3, chi5, rate):
-    # a rate outside [0, 1] used to switch the audits off silently
-    with pytest.raises(PreconditionError):
-        thm2_report(zeros100, 50.0, make_config(chi3, chi5), audit_rate=rate)
-
-
-def test_report_audit_rate_bounds_accepted(zeros100, chi3, chi5):
-    cfg = make_config(chi3, chi5)
-    for rate in (0.0, 1.0):
-        rep = thm2_report(zeros100, 50.0, cfg, audit_rate=rate)
-        assert rep.n_zeros == zeros100.count(50.0)
-
-
 def test_report_structure_and_determinism(zeros100, chi3, chi5):
     cfg = make_config(chi3, chi5)
     a = thm2_report(zeros100, 100.0, cfg)
@@ -286,7 +272,7 @@ def test_sweep_over_two_oracle_blocks_equals_separate_reports(zeros1000, chi3, c
 
 
 def test_report_audits_table_indices(zeros1000, chi3, chi5, monkeypatch):
-    # the audit stride counts table indices: rate 0.01 audits the 649
+    # the audit stride counts table indices: lfunc._AUDIT_STRIDE = 100 audits the 649
     # zeros below 1000 at indices 0, 100, ..., 600, each once
     audited = []
     audit = ThmTwoEvaluator.audit
@@ -296,7 +282,7 @@ def test_report_audits_table_indices(zeros1000, chi3, chi5, monkeypatch):
         audit(ev, gamma)
 
     monkeypatch.setattr(ThmTwoEvaluator, "audit", recording)
-    thm2_report(zeros1000, 1000.0, make_config(chi3, chi5), audit_rate=0.01)
+    thm2_report(zeros1000, 1000.0, make_config(chi3, chi5))
     gammas = zeros1000.up_to(1000.0)
     assert len(gammas) == 649
     assert sorted(audited) == [float(g) for g in gammas[::100]]
@@ -393,20 +379,24 @@ def test_report_rejects_heights_without_a_main_term(zeros100, chi3, chi5, t):
         thm2_report(zeros100, t, make_config(chi3, chi5))
 
 
-def test_audit_fires_on_a_planted_oracle_defect(zeros100, chi3, chi5, monkeypatch):
-    # chi1's oracle value moved by 1e3 at every height: the first audit
-    # (at gamma_1) raises
+def test_audit_fires_on_a_planted_oracle_defect(zeros100, zeros1000, chi3, chi5,
+                                                monkeypatch):
+    # chi1's oracle value moved by 1e3 at every height above `start`: the
+    # first audit there raises, at gamma_1 (index 0) or, for a defect that
+    # starts after gamma_1, at index 100, so audits past index 0 fire
     from lpairs.lfunc import LValue
 
     def shifted(s, chi):
         value = l_oracle(s, chi)
-        if chi == chi3:
+        if chi == chi3 and s.imag > start:
             return LValue(value.value + 1e3, value.bound, value.method)
         return value
 
     monkeypatch.setattr(cl, "l_oracle", shifted)
-    with pytest.raises(OracleAuditFailure, match="A\\(14.13"):
-        thm2_report(zeros100, 100.0, make_config(chi3, chi5))
+    for zeros, t, start, first in ((zeros100, 100.0, 0.0, "14.13"),
+                                   (zeros1000, 1000.0, 15.0, "237.769")):
+        with pytest.raises(OracleAuditFailure, match=f"A\\({first}"):
+            thm2_report(zeros, t, make_config(chi3, chi5))
 
 
 def test_audit_fires_on_an_oracle_defect_both_characters_share(zeros100, chi3, chi5,
@@ -429,23 +419,6 @@ def test_audit_fires_on_an_oracle_defect_both_characters_share(zeros100, chi3, c
 def test_make_config_rejects_explicit_p_not_prime_or_a_modulus(chi3, chi5, p):
     with pytest.raises(PreconditionError, match=f"auxiliary prime {p} must be prime"):
         make_config(chi3, chi5, p=p)
-
-
-def test_tiny_audit_rate_audits_index_zero_only(zeros100, chi3, chi5, monkeypatch):
-    # 1 / 1e-320 is inf; the rate lies in [0, 1], so it audits the first
-    # zero only, as 1e-300 does
-    audited = []
-    audit = ThmTwoEvaluator.audit
-
-    def recording(ev, gamma):
-        audited.append(gamma)
-        audit(ev, gamma)
-
-    monkeypatch.setattr(ThmTwoEvaluator, "audit", recording)
-    cfg = make_config(chi3, chi5)
-    for rate in (1e-300, 1e-320, 5e-324):
-        assert thm2_report(zeros100, 100.0, cfg, audit_rate=rate).n_zeros == 29
-    assert audited == [float(zeros100.ordinates[0])] * 3
 
 
 @pytest.mark.parametrize("method", ["afe", "oracle"])

@@ -264,7 +264,10 @@ def test_pair_evaluator_rows_equal_one_height_rows(zeros1000, chi3, chi5, given)
     ev = _Products(chi3, chi5, 0.75, (math.sqrt(5.0), 1.0), float(gammas[-1]), log_n, amp)
     rng = np.random.default_rng(7)
     lvalues = [rng.normal(size=200) + 1j * rng.normal(size=200) for _ in range(2)]
+    ev.audited = []
     out = ev.rows(gammas, np.empty((200, 2), dtype=complex), lvalues if given else None)
+    # AFE values are audited at every 100th table index, given ones never
+    assert ev.audited == ([] if given else [float(gammas[0]), float(gammas[100])])
     expected = []
     for i, g in enumerate(gammas.tolist()):
         b = complex(lfunc.dirichlet_values(log_n, amp, [g])[0])
@@ -277,11 +280,12 @@ def test_pair_evaluator_rows_equal_one_height_rows(zeros1000, chi3, chi5, given)
     assert out.tolist() == expected
 
 
-def test_pair_evaluator_audits_table_indices(zeros1000, chi3, chi5):
+def test_pair_evaluator_audits_table_indices(zeros1000, chi3, chi5, monkeypatch):
     gammas = zeros1000.ordinates[:130]
     ev = _Products(chi3, chi5, 0.5, (1.0, 1.0), float(gammas[-1]), [0.0], [1.0])
-    for stride, indices in ((0, []), (1, range(130)), (64, [0, 64, 128]),
-                            (10 ** 6, [0])):
+    for stride, indices in ((lfunc._AUDIT_STRIDE, [0, 100]), (1, range(130)),
+                            (64, [0, 64, 128]), (10 ** 6, [0])):
+        monkeypatch.setattr(lfunc, "_AUDIT_STRIDE", stride)
         ev.audited = []
-        ev.audited_rows(gammas, stride, np.empty((130, 2), dtype=complex))
+        ev.rows(gammas, np.empty((130, 2), dtype=complex))
         assert ev.audited == [float(gammas[i]) for i in indices]

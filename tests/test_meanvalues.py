@@ -329,13 +329,15 @@ class TestReport:
         b = thm1_report(zeros100, 100.0, 0.75, chi3, chi5)
         assert a.csv_row() == b.csv_row()
 
-    def test_report_audit_runs(self, zeros100, chi3, chi5):
-        # audit_rate = 1 re-checks every height through the oracle
-        rep = thm1_report(zeros100, 50.0, 0.75, chi3, chi5, audit_rate=1.0)
+    def test_report_audit_runs(self, zeros100, chi3, chi5, monkeypatch):
+        # a stride of 1 re-checks every height through the oracle
+        import lpairs.lfunc as lfunc
+        monkeypatch.setattr(lfunc, "_AUDIT_STRIDE", 1)
+        rep = thm1_report(zeros100, 50.0, 0.75, chi3, chi5)
         assert rep.n_zeros == zeros100.count(50.0)
 
     def test_report_audits_table_indices(self, zeros1000, chi3, chi5, monkeypatch):
-        # the audit stride counts table indices: rate 0.01 audits the 649
+        # the audit stride counts table indices: lfunc._AUDIT_STRIDE = 100 audits the 649
         # zeros below 1000 at indices 0, 100, ..., 600, each once
         audited = []
         audit = ThmOneEvaluator.audit
@@ -345,7 +347,7 @@ class TestReport:
             audit(ev, gamma)
 
         monkeypatch.setattr(ThmOneEvaluator, "audit", recording)
-        thm1_report(zeros1000, 1000.0, 0.75, chi3, chi5, audit_rate=0.01)
+        thm1_report(zeros1000, 1000.0, 0.75, chi3, chi5)
         gammas = zeros1000.up_to(1000.0)
         assert len(gammas) == 649
         assert sorted(audited) == [float(g) for g in gammas[::100]]
@@ -364,24 +366,28 @@ class TestReport:
         with pytest.raises(OracleAuditFailure, match="A\\(14.13"):
             thm1_report(zeros100, 100.0, 0.75, chi3, chi5)
 
-    def test_audit_fires_on_a_planted_oracle_defect(self, zeros100, chi3, chi5,
-                                                    monkeypatch):
-        # chi1's oracle value moved by 1e4 at every height: the first audit
-        # (at gamma_1) raises; a tolerance taken from the oracle values
-        # alone would grow with the defect and stay silent
+    def test_audit_fires_on_a_planted_oracle_defect(self, zeros100, zeros1000, chi3,
+                                                    chi5, monkeypatch):
+        # chi1's oracle value moved by 1e4 at every height above `start`: the
+        # first audit there raises, at gamma_1 (index 0) or, for a defect
+        # that starts after gamma_1, at index 100, so audits past index 0
+        # fire; a tolerance taken from the oracle values alone would grow
+        # with the defect and stay silent
         import lpairs.meanvalues as mv
         from lpairs.lfunc import LValue
         l_oracle = mv.l_oracle
 
         def shifted(s, chi):
             value = l_oracle(s, chi)
-            if chi == chi3:
+            if chi == chi3 and s.imag > start:
                 return LValue(value.value + 1e4, value.bound, value.method)
             return value
 
         monkeypatch.setattr(mv, "l_oracle", shifted)
-        with pytest.raises(OracleAuditFailure, match="A\\(14.13"):
-            thm1_report(zeros100, 100.0, 0.75, chi3, chi5, audit_rate=1.0)
+        for zeros, t, start, first in ((zeros100, 100.0, 0.0, "14.13"),
+                                       (zeros1000, 1000.0, 15.0, "237.769")):
+            with pytest.raises(OracleAuditFailure, match=f"A\\({first}"):
+                thm1_report(zeros, t, 0.75, chi3, chi5)
 
     def test_report_rejects_principal_characters(self, zeros100, chi5):
         # no zero lies below T = 10, so no x_factor call rejects chi1 = 3:0
@@ -394,12 +400,6 @@ class TestReport:
         from lpairs.meanvalues import _csv_row
         cells = [1.0, 2, Fraction(15, 2), np.float64(0.1), -0.0]
         assert _csv_row(cells) == "1.0,2,15/2,0.1,-0.0"
-
-    @pytest.mark.parametrize("rate", [3.0, -1.0, math.nan, math.inf])
-    def test_report_rejects_out_of_range_audit_rate(self, zeros100, chi3, chi5, rate):
-        # a rate outside [0, 1] used to switch the audits off silently
-        with pytest.raises(PreconditionError):
-            thm1_report(zeros100, 50.0, 0.75, chi3, chi5, audit_rate=rate)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -5.0])
     def test_report_rejects_bad_height(self, zeros100, chi3, chi5, t, monkeypatch):
@@ -542,21 +542,18 @@ def test_unreachable_sigma_refused_before_the_afe_pass(zeros100, chi3, chi5, mon
         thm1_report(zeros100, 100.0, 0.55, chi3, chi5)
 
 
-def test_tiny_audit_rate_audits_index_zero_only(zeros100, chi3, chi5, monkeypatch):
-    # 1 / 1e-320 is inf; the rate lies in [0, 1], so it audits the first
-    # zero only, as 1e-300 does
-    audited = []
-    audit = ThmOneEvaluator.audit
+def test_unsummable_cutoff_refused_before_b_is_expanded(chi3, chi5, monkeypatch):
+    # sum |c_n| = prod_{p <= P} (1 + |chi1(p) + chi2(p)| + |chi1(p) chi2(p)|)
+    # sizes the series route before B(s, P) and its up to 3^pi(P) exact
+    # coefficients exist; P = 97 at sigma = 0.75 would never finish
+    import lpairs.meanvalues as mv
 
-    def recording(ev, gamma):
-        audited.append(gamma)
-        audit(ev, gamma)
+    def no_expansion(*args):
+        raise AssertionError("B(s, P) expanded before the series route was sized")
 
-    monkeypatch.setattr(ThmOneEvaluator, "audit", recording)
-    for rate in (1e-300, 1e-320, 5e-324):
-        rep = thm1_report(zeros100, 100.0, 0.75, chi3, chi5, audit_rate=rate)
-        assert rep.n_zeros == 29
-    assert audited == [float(zeros100.ordinates[0])] * 3
+    monkeypatch.setattr(mv, "build_b_polynomial", no_expansion)
+    with pytest.raises(PreconditionError, match="raise sigma or lower P"):
+        thm1_sweep([100.0], 0.75, chi3, chi5, cutoff=97)
 
 
 def test_empty_table_tabulates_no_windows(chi3, chi5):

@@ -10,12 +10,13 @@ metrics read.
 
 The benchmark reference pins lfunc.oracle_calls and
 specfun.x_factor_calls exactly.  Traced thm1_report and thm2_report runs
-over N = 10 zeros, with every height audited and with one audit
-(audit_rate 0.1), check the per-zero and per-audit counts behind them:
-4 l_oracle calls per thm1 audit, 2 per thm2 audit, and 2 x_factor calls
-per AFE pair, one pair per height and one per audit (2N + 2 = 22 at rate
-0.1).  A batched route that formed X once per group, or skipped an
-audit, would break them.  The evaluators' l_values run only in audits.
+over N = 10 zeros, with every height audited (lfunc._AUDIT_STRIDE set
+to 1) and with the one audit the default stride of 100 makes, check the
+per-zero and per-audit counts behind them: 4 l_oracle calls per thm1
+audit, 2 per thm2 audit, and 2 x_factor calls per AFE pair, one pair per
+height and one per audit (2N + 2 = 22 at the default stride).  A batched
+route that formed X once per group, or skipped an audit, would break
+them.  The evaluators' l_values run only in audits.
 A traced thm2_report(method="oracle") over the same zeros reads no
 l_oracle and no x_factor call and a nonzero lfunc.oracle_batch_s: its
 values come through the wrapped criticalline.l_oracle_critical_batch.
@@ -30,7 +31,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
 import spans
-from lpairs import compute_zeros, criticalline, meanvalues
+from lpairs import compute_zeros, criticalline, lfunc, meanvalues
 from lpairs.characters import parse_character
 
 zeros = compute_zeros(100.0)
@@ -52,20 +53,21 @@ assert m["specfun.x_factor_calls"] == 4, m
 
 n = zeros.count(50.0)
 assert n == 10, n
-for rate, audits in ((1.0, n), (0.1, 1)):
+assert lfunc._AUDIT_STRIDE == 100
+for stride, audits in ((1, n), (100, 1)):
+    lfunc._AUDIT_STRIDE = stride
     for name, report, oracle_per_audit, layer in (
-            ("thm1", lambda: meanvalues.thm1_report(zeros, 50.0, 0.75, chi1, chi2,
-                                                    audit_rate=rate), 4, "meanvalues"),
-            ("thm2", lambda: criticalline.thm2_report(zeros, 50.0, cfg,
-                                                      audit_rate=rate), 2,
+            ("thm1", lambda: meanvalues.thm1_report(zeros, 50.0, 0.75, chi1, chi2),
+             4, "meanvalues"),
+            ("thm2", lambda: criticalline.thm2_report(zeros, 50.0, cfg), 2,
              "criticalline")):
         with tracer.root(name, "bench") as root:
             report()
         m = spans.layer_metrics(tracer.spans, root, 0, meanvalues._SIEVE_CHUNK)
-        assert m["lfunc.oracle_calls"] == oracle_per_audit * audits, (name, rate, m)
-        assert m["specfun.x_factor_calls"] == 2 * n + 2 * audits, (name, rate, m)
-        assert m[layer + ".audit_calls"] == audits, (name, rate, m)
-        assert m[layer + ".l_values_calls"] == audits, (name, rate, m)
+        assert m["lfunc.oracle_calls"] == oracle_per_audit * audits, (name, stride, m)
+        assert m["specfun.x_factor_calls"] == 2 * n + 2 * audits, (name, stride, m)
+        assert m[layer + ".audit_calls"] == audits, (name, stride, m)
+        assert m[layer + ".l_values_calls"] == audits, (name, stride, m)
 
 with tracer.root("thm2-oracle", "bench") as root:
     criticalline.thm2_report(zeros, 50.0, cfg, method="oracle")
