@@ -44,11 +44,5 @@ from .meanvalues import (
     thm1_report,
     thm1_sweep,
 )
-from .specfun import (
-    hardy_z,
-    log_gamma,
-    riemann_siegel_theta,
-    x_factor,
-    zeta_em,
-)
+from .specfun import log_gamma, riemann_siegel_theta, x_factor
 from .zeros import ZeroTable, compute_zeros, load_zeros

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .characters import character, gauss_sum, parse_character
+from .characters import character, parse_character
 from .criticalline import ThmTwoReport, make_config, thm2_sweep
 from .errors import DataError, NumericsError, PreconditionError
 from .landau import (
@@ -26,7 +26,6 @@ from .landau import (
 )
 from .lfunc import l_afe, l_oracle
 from .meanvalues import MeanValueReport, _csv_row, thm1_sweep
-from .specfun import hardy_z, zeta_em
 from .zeros import compute_zeros, load_zeros
 
 AFE_GRID_SIGMAS = (0.55, 0.6, 0.75, 0.9)
@@ -64,23 +63,6 @@ def _parse_t_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"values must be positive and finite, got {text!r}")
     return values
-
-
-def seed_check() -> None:
-    """Fast invariant subset, run before long computations on request."""
-    chi3 = character(3, 1)
-    chi5 = character(5, 2)
-    if abs(gauss_sum(1, chi5) * gauss_sum(-1, chi5.conjugate()) - 5) > 1e-12:
-        raise NumericsError("seed check: Gauss identity failed for 5:2")
-    if abs(zeta_em(2.0) - math.pi ** 2 / 6.0) > 1e-12:
-        raise NumericsError("seed check: zeta(2) failed")
-    if not hardy_z(14.0) * hardy_z(15.0) < 0:
-        raise NumericsError("seed check: no Z sign change in (14, 15)")
-    s = complex(0.75, 100.0)
-    afe = l_afe(s, chi3)
-    orc = l_oracle(s, chi3)
-    if abs(afe.value - orc.value) > afe.bound:
-        raise NumericsError("seed check: AFE bound breached at the probe point")
 
 
 def _cmd_zeros(args) -> None:
@@ -167,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help='zero table path, or "compute" (default: '
                                 "$ZETA_ZEROS_PATH, else compute)")
         p.add_argument("--output", default=None, help="CSV output path (default stdout)")
-        p.add_argument("--seed-check", action="store_true",
-                       help="run the fast invariant suite before the computation")
 
     p = sub.add_parser("zeros", help="compute or validate a zero table")
     common(p)
@@ -212,8 +192,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse reports its own message
         return 1 if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "seed_check", False):
-            seed_check()
         args.func(args)
     except (PreconditionError, ValueError) as exc:
         print(f"lpairs: configuration error: {exc}", file=sys.stderr)

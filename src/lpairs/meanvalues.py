@@ -184,10 +184,6 @@ class BPolynomial:
         cs = np.array([self.coeffs[n].to_complex() for n in keys], dtype=complex)
         return np.array(keys, dtype=float), cs
 
-    def sum_abs_coefficients(self) -> float:
-        ns, cs = self.complex_coefficients()
-        return float(np.sum(np.abs(cs)))
-
 
 def build_b_polynomial(cutoff: int, chi1: DirichletCharacter,
                        chi2: DirichletCharacter) -> BPolynomial:
@@ -315,20 +311,23 @@ def _twist_table(chi_a: DirichletCharacter, chi_b: DirichletCharacter) -> np.nda
                     dtype=complex)
 
 
-def _series_size(sum_abs: float, inner: DirichletCharacter, other: DirichletCharacter,
+def _series_size(chi1: DirichletCharacter, chi2: DirichletCharacter, primes: list[int],
                  sigma: float, tol_tail: float) -> tuple[float, int]:
-    """(2 sum_abs S_max(xi), N) for the series route of a mollifier with
-    sum |c_k| = sum_abs; refuses an N above 8e8."""
-    twist = _twist_table(inner, other)
-    s_max = float(np.max(np.abs(np.cumsum(twist))))  # S_max(xi): largest |prefix sum|
+    """(2 sum|c_n| S_max(xi), N) for the series route of B(s, P) over primes,
+    from its exact sum|c_n| = prod_p (1 + |chi1(p) + chi2(p)| + |chi1(p) chi2(p)|);
+    refuses an N above 8e8 (or one that overflows a float).  S_max(xi) is
+    the largest |prefix sum| of xi = chi1 conj(chi2), which D and E share:
+    the twist of E is its complex conjugate."""
+    sum_abs = math.prod(1.0 + abs(chi1(p) + chi2(p)) + abs(chi1(p) * chi2(p))
+                        for p in primes)
+    s_max = float(np.max(np.abs(np.cumsum(_twist_table(chi1, chi2)))))
     structural = 2.0 * sum_abs * s_max
-    n_limit = int(math.ceil((structural / tol_tail) ** (1.0 / (2.0 * sigma))))
-    n_limit = max(n_limit, 1000)
-    if n_limit > 8 * 10 ** 8:
+    n_float = (structural / tol_tail) ** (1.0 / (2.0 * sigma))
+    if not n_float <= 8e8:  # inf or nan fails the comparison
         raise PreconditionError(
-            f"series route needs N = {n_limit:.3g} terms at sigma = {sigma}; "
+            f"series route needs N = {n_float:.3g} terms at sigma = {sigma}; "
             "raise sigma or lower P")
-    return structural, n_limit
+    return structural, max(int(math.ceil(n_float)), 1000)
 
 
 def _series_route(series: CoefficientSeries, sigma: float,
@@ -357,8 +356,8 @@ def _series_route(series: CoefficientSeries, sigma: float,
     """
     bpoly = series.bpoly
     inner, other = series.inner, series.other
-    structural, n_limit = _series_size(bpoly.sum_abs_coefficients(), inner, other,
-                                       sigma, tol_tail)
+    structural, n_limit = _series_size(bpoly.chi1, bpoly.chi2, bpoly.primes, sigma,
+                                       tol_tail)
 
     mod_inner = inner.modulus
     mod_other = other.modulus
@@ -572,9 +571,9 @@ def thm1_sweep(ts, sigma: float, chi1: DirichletCharacter, chi2: DirichletCharac
     """Check every option and sum C = D - E, then return reports(zeros):
     one MeanValueReport per height in ts, in order, from one audited pass
     to max(ts).  No check waits for a zero table, and sigma and the series
-    route's N are checked before B(s, P) is expanded: its sum |c_n| is
-    prod_{p <= P} (1 + |chi1(p) + chi2(p)| + |chi1(p) chi2(p)|).  cutoff
-    None is max(q, l), the least prime the nonvanishing argument admits.
+    route's N are checked before B(s, P) is expanded, as _series_size
+    needs only the characters and the primes.  cutoff None is max(q, l),
+    the least prime the nonvanishing argument admits.
     A(gamma) does not depend on the height the windows are tabulated to,
     so the report at T is the prefix up to N(T) of that pass, bit for bit.
     """
@@ -584,9 +583,7 @@ def thm1_sweep(ts, sigma: float, chi1: DirichletCharacter, chi2: DirichletCharac
     _check_sigma(sigma)
     cutoff = max(chi1.modulus, chi2.modulus) if cutoff is None else cutoff
     if is_prime(cutoff):  # else build_b_polynomial refuses it without a sieve
-        _series_size(math.prod(1.0 + abs(chi1(p) + chi2(p)) + abs(chi1(p) * chi2(p))
-                               for p in primes_upto(cutoff)),
-                     chi1, chi2, sigma, _SERIES_TAIL_TOL)
+        _series_size(chi1, chi2, primes_upto(cutoff), sigma, _SERIES_TAIL_TOL)
     bpoly = build_b_polynomial(cutoff, chi1, chi2)
     predicted_c = predicted_constant(bpoly, sigma)
 

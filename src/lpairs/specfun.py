@@ -21,9 +21,8 @@ sigma, tol), the least N at which its own Backlund bound meets tol (about
 Hurwitz zeta use it.  The zero engine's Z passes _em_terms(max|t|) =
 0.62 max|t| + 8, because the committed zero tables pin that N: at the
 shorter N some ordinates move by up to 1e-10.
-The scalar routes are batches of one height and one shift:
-hurwitz_zeta_certified, zeta_em (a = 1) and hardy_z, which is _hardy_z_em
-on one height.  The zero engine's Z below t = 200 is _hardy_z_em too.
+The scalar route, hurwitz_zeta_certified, is a batch of one height and
+one shift.  The zero engine's Z below t = 200 is _hardy_z_em.
 From t = 200 the zero engine's batched Z takes the Riemann-Siegel formula
 with the corrections C_0..C_4 (about sqrt(t/2pi) terms) and certifies
 each value with Gabcke's remainder bound |R_4(t)| <= 0.017 t^(-11/4)
@@ -412,24 +411,7 @@ def hurwitz_zeta_certified(s, a) -> tuple[complex, float]:
     return complex(values[0, 0]), float(bounds[0])
 
 
-def zeta_em(s) -> complex:
-    """Riemann zeta by Euler-Maclaurin (the oracle backbone)."""
-    return hurwitz_zeta_certified(s, 1.0)[0]
-
-
 # --- Hardy Z -----------------------------------------------------------------
-
-def hardy_z(t: float) -> float:
-    """Z(t) = e^{i theta(t)} zeta(1/2 + it) by Euler-Maclaurin, guaranteed
-    real: _hardy_z_em on a batch of one height.
-
-    The imaginary residue is an internal accuracy check: above 1e-6 it
-    signals a broken evaluator and raises AccuracyLoss.
-    """
-    if not 10.0 <= t < math.inf:  # nan fails the comparison
-        raise DomainTooSmall(f"hardy_z requires finite t >= 10, got {t}")
-    return float(_hardy_z_em(np.array([t], dtype=float), _SCALAR_TOL)[0])
-
 
 # Riemann-Siegel Z is certified for t >= 200, where Gabcke's bound on the
 # remainder after C_4 holds: |R_4(t)| <= 0.017 t^(-11/4).

@@ -166,8 +166,8 @@ def load_zeros(path) -> ZeroTable:
                 values.append(value)
     gammas = np.asarray(values, dtype=float)
     _validate_ordinates(gammas, str(path))
-    # an empty file is a valid (vacuous) table: N(T) = 0 for every T
-    t_max = _rvm_coverage(gammas) if len(gammas) else math.inf
+    # an empty file is a valid table only below the first zero
+    t_max = _rvm_coverage(gammas) if len(gammas) else _FIRST_ZERO_FLOOR
     return ZeroTable(ordinates=gammas, source="file", t_max=t_max)
 
 

@@ -251,22 +251,23 @@ def test_afe_verify_rejects_t():
     assert run(["afe-verify", "--T", "5"]) == 1
 
 
-def test_seed_check_runs(zero_file, tmp_path):
-    out = tmp_path / "landau.csv"
-    assert run(["landau", "--x", "2", "--T", "100", "--zeros", zero_file,
-                "--seed-check", "--output", str(out)]) == 0
-
-
 def test_numerics_error_maps_to_exit_2(zero_file, monkeypatch):
     from lpairs import cli as cli_mod
     from lpairs.errors import NumericsError
 
-    def broken():
-        raise NumericsError("probe failed")
+    def broken(*args):
+        raise NumericsError("zero sum failed")
 
-    monkeypatch.setattr(cli_mod, "seed_check", broken)
-    assert run(["landau", "--x", "2", "--T", "100", "--zeros", zero_file,
-                "--seed-check"]) == 2
+    monkeypatch.setattr(cli_mod, "landau_zero_sum", broken)
+    assert run(["landau", "--x", "2", "--T", "100", "--zeros", zero_file]) == 2
+
+
+def test_empty_zero_file_covers_no_height_above_the_floor(tmp_path, capsys):
+    # an empty file used to claim every height and report N(1e4) = 0
+    path = tmp_path / "empty.txt"
+    path.write_text("# empty\n")
+    assert run(["thm2", "--zeros", str(path), "--T", "1e4"]) == 1
+    assert "only covers heights <= 10.0" in capsys.readouterr().err
 
 
 def test_console_entry_point(src_env):

@@ -423,7 +423,8 @@ def test_make_config_rejects_explicit_p_not_prime_or_a_modulus(chi3, chi5, p):
 
 @pytest.mark.parametrize("method", ["afe", "oracle"])
 def test_empty_table_tabulates_no_windows(chi3, chi5, method):
-    # an empty zero file covers every height; the evaluator's windows
+    # a table with no ordinates and t_max = inf (load_zeros caps an
+    # empty file at the first-zero floor); the evaluator's windows
     # reach its last zero, not T (84.7 MB traced at T = 1e12 when they
     # reached T)
     import tracemalloc

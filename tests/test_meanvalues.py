@@ -429,17 +429,14 @@ class TestReport:
         with pytest.raises(PreconditionError, match="heights"):
             thm1_sweep([], 0.75, chi3, chi5)
 
-    def test_report_on_empty_table_reports_zero_bound(self, tmp_path, chi3, chi5):
-        # a vacuous zero set yields sum_abs_a2 = 0; the count bound is
+    def test_report_on_empty_table_reports_zero_bound(self, zeros100, chi3, chi5):
+        # no zero below T = 14.0 yields sum_abs_a2 = 0; the count bound is
         # reported as 0 rather than crashing on the division
-        from lpairs.zeros import load_zeros
-        path = tmp_path / "empty.txt"
-        path.write_text("")
-        rep = thm1_report(load_zeros(path), 50.0, 0.75, chi3, chi5)
+        rep = thm1_report(zeros100, 14.0, 0.75, chi3, chi5)
         assert rep.n_zeros == 0
         assert rep.sum_abs_a2 == 0.0
         assert rep.lower_bound_count == 0.0
-        assert rep.csv_row().startswith("50.0,0,")
+        assert rep.csv_row().startswith("14.0,0,")
 
 
 def _coefficient(series, n):
@@ -556,8 +553,33 @@ def test_unsummable_cutoff_refused_before_b_is_expanded(chi3, chi5, monkeypatch)
         thm1_sweep([100.0], 0.75, chi3, chi5, cutoff=97)
 
 
+def test_overflowing_coefficient_sum_is_refused(chi3):
+    # at P = 7001 the product for sum |c_n| overflows to inf, and the
+    # series route's N used to raise OverflowError from math.ceil(inf)
+    with pytest.raises(PreconditionError, match="raise sigma or lower P"):
+        thm1_sweep([100.0], 0.75, chi3, character(7001, 1))
+
+
+@pytest.mark.parametrize("cutoff", [7, 11, 13])
+def test_series_size_sums_the_coefficient_moduli_in_closed_form(cutoff):
+    # _series_size takes sum |c_n| of B(s, P) as a product over the primes;
+    # the sum over the expanded coefficients is the reference, for each of
+    # the 23 pairs of non-principal characters with distinct moduli 3, 5, 7
+    from lpairs.meanvalues import _series_size, _twist_table
+    chars = [character(q, j) for q in (3, 5, 7) for j in range(1, q - 1)]
+    pairs = [(a, b) for a in chars for b in chars if a.modulus < b.modulus]
+    assert len(pairs) == 23
+    for chi1, chi2 in pairs:
+        bpoly = build_b_polynomial(cutoff, chi1, chi2)
+        want = float(np.abs(bpoly.complex_coefficients()[1]).sum())
+        s_max = float(np.max(np.abs(np.cumsum(_twist_table(chi1, chi2)))))
+        structural, _ = _series_size(chi1, chi2, bpoly.primes, 0.9, 9e-9)
+        assert abs(structural / (2.0 * s_max) - want) <= 1e-15 * want
+
+
 def test_empty_table_tabulates_no_windows(chi3, chi5):
-    # an empty zero file covers every height; the evaluator's windows
+    # a table with no ordinates and t_max = inf (load_zeros caps an
+    # empty file at the first-zero floor); the evaluator's windows
     # reach its last zero, not T (118.9 MB traced at T = 1e12 when they
     # reached T); what is left is D and E (0.7 MB)
     import tracemalloc

@@ -21,12 +21,11 @@ from lpairs.errors import (
 )
 from lpairs.lfunc import l_oracle, l_via_hurwitz
 from lpairs.specfun import (
-    hardy_z,
+    _hardy_z_batch,
     hurwitz_zeta_certified,
     log_gamma,
     riemann_siegel_theta,
     x_factor,
-    zeta_em,
 )
 
 mp = pytest.importorskip("mpmath")
@@ -52,11 +51,10 @@ GAMMA_1 = 14.134725141734693790457251983562470270784257115699
 
 @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
 def test_special_functions_refuse_non_finite_arguments(v):
-    # hardy_z raised a bare ValueError (nan) or OverflowError (inf), theta
-    # returned nan (with a RuntimeWarning at inf), x_factor raised
+    # theta returned nan (with a RuntimeWarning at inf), x_factor raised
     # ZeroDivisionError (inf) or returned nan, and log_gamma returned nan
     chi = character(5, 2)
-    calls = [lambda: hardy_z(v), lambda: riemann_siegel_theta(v),
+    calls = [lambda: riemann_siegel_theta(v),
              lambda: riemann_siegel_theta(np.array([20.0, v])),
              lambda: x_factor(complex(0.5, v), chi), lambda: x_factor(complex(v, 10.0), chi),
              lambda: log_gamma(v), lambda: log_gamma(complex(1.0, v))]
@@ -136,28 +134,27 @@ class TestTheta:
 
 class TestZeta:
     def test_basel_value(self):
-        assert abs(zeta_em(2.0) - math.pi ** 2 / 6.0) < 1e-12
+        assert abs(hurwitz_zeta_certified(2.0, 1.0)[0] - math.pi ** 2 / 6.0) < 1e-12
 
     def test_pole_raises(self):
-        with pytest.raises(PoleAtOne):
-            zeta_em(1.0)
-        with pytest.raises(PoleAtOne):
-            hurwitz_zeta_certified(1.0, 0.5)[0]
+        for a in (1.0, 0.5):
+            with pytest.raises(PoleAtOne):
+                hurwitz_zeta_certified(1.0, a)
 
     def test_small_at_first_zero(self):
-        assert abs(zeta_em(complex(0.5, 14.134725))) < 1e-6
+        assert abs(hurwitz_zeta_certified(complex(0.5, 14.134725), 1.0)[0]) < 1e-6
 
     def test_hurwitz_at_half_shift(self):
         assert abs(hurwitz_zeta_certified(2.0, 0.5)[0] - math.pi ** 2 / 2.0) < 1e-12
 
     @pytest.mark.usefixtures("dps40")
     def test_hurwitz_at_shift_one_equals_zeta(self):
-        # zeta_em is zeta(s, 1); mpmath's zeta(s) is an independent value,
-        # held to the bound hurwitz_zeta_certified(s, 1) certifies
+        # mpmath's zeta(s) is an independent value, held to the bound
+        # hurwitz_zeta_certified(s, 1) certifies
         for s in (2.0, 0.5 + 30j, 0.75 + 500j):
-            bound = hurwitz_zeta_certified(s, 1.0)[1]
+            value, bound = hurwitz_zeta_certified(s, 1.0)
             ref = complex(mp.zeta(mp.mpc(complex(s).real, complex(s).imag)))
-            assert abs(zeta_em(s) - ref) <= bound
+            assert abs(value - ref) <= bound
 
     @pytest.mark.usefixtures("dps40")
     def test_certified_bounds_hold_against_mpmath(self):
@@ -221,10 +218,9 @@ class TestZeta:
         # a non-finite s used to run the kernel, warn, and raise AccuracyLoss
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainTooSmall):
-                hurwitz_zeta_certified(s, 0.2)[0]
-            with pytest.raises(DomainTooSmall):
-                zeta_em(s)
+            for a in (0.2, 1.0):
+                with pytest.raises(DomainTooSmall):
+                    hurwitz_zeta_certified(s, a)
 
 
 def _one_shot_kernel(ts, a, tol, sigma, n_terms):
@@ -389,23 +385,20 @@ class TestEulerMaclaurinKernel:
 
 
 class TestHardyZ:
-    def test_domain(self):
-        with pytest.raises(DomainTooSmall):
-            hardy_z(5.0)
-
+    # the zero engine's Z: Euler-Maclaurin below t = 200, Riemann-Siegel above
     def test_sign_change_in_first_zero_bracket(self):
-        assert hardy_z(14.0) * hardy_z(15.0) < 0
+        z14, z15 = _hardy_z_batch(np.array([14.0, 15.0]))
+        assert z14 * z15 < 0
 
     def test_square_is_zeta_modulus_squared(self):
-        for t in (14.2, 50.0, 333.3):
-            z2 = hardy_z(t) ** 2
-            m2 = abs(zeta_em(complex(0.5, t))) ** 2
-            assert abs(z2 - m2) < 1e-10
+        ts = np.array([14.2, 50.0, 333.3])
+        for t, z in zip(ts, _hardy_z_batch(ts)):
+            m2 = abs(hurwitz_zeta_certified(complex(0.5, t), 1.0)[0]) ** 2
+            assert abs(z ** 2 - m2) < 1e-10
 
     def test_sign_change_count_10_100(self, zeros100):
         # N(100) = 29 zeros means at least 29 sign changes of Z
-        ts = np.linspace(10.0, 100.0, 2000)
-        vals = np.array([hardy_z(float(t)) for t in ts])
+        vals = _hardy_z_batch(np.linspace(10.0, 100.0, 2000))
         changes = int(np.sum(vals[:-1] * vals[1:] < 0))
         assert changes >= 29
         assert len(zeros100) == 29
@@ -414,10 +407,10 @@ class TestHardyZ:
         # theta off by 1e-2 turns Z into Z e^{0.01 i}: the imaginary residue
         # |Z| sin(0.01) is far above 1e-6, and the check raises
         theta = specfun.riemann_siegel_theta
-        assert abs(hardy_z(20.0)) > 0.1
+        assert abs(_hardy_z_batch(np.array([20.0]))[0]) > 0.1
         monkeypatch.setattr(specfun, "riemann_siegel_theta", lambda t: theta(t) + 1e-2)
         with pytest.raises(AccuracyLoss, match="imaginary residue"):
-            hardy_z(20.0)
+            _hardy_z_batch(np.array([20.0]))
         with pytest.raises(AccuracyLoss, match="imaginary residue"):
             specfun._hardy_z_em(np.array([20.0, 50.0, 150.0]), specfun._Z_BATCH_TOL)
 

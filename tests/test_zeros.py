@@ -59,8 +59,11 @@ def test_empty_file_is_vacuous_table(tmp_path):
     path.write_text("# nothing here\n")
     table = load_zeros(path)
     assert len(table) == 0
-    for t in (10.0, 100.0, 1e6):
-        assert table.count(t) == 0
+    assert table.count(10.0) == 0
+    # no ordinate lies below 14.13, so the file claims nothing above the floor
+    for t in (100.0, 1e6):
+        with pytest.raises(RangeExceeded):
+            table.count(t)
 
 
 def test_compute_20_finds_first_zero():
