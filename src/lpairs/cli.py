@@ -43,7 +43,8 @@ def _resolve_zeros(spec: str | None, t_needed: float):
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
+    """Each line with its newline, to path or stdout: no lines, no text."""
+    text = "".join(line + "\n" for line in lines)
     if path is None:
         sys.stdout.write(text)
     else:

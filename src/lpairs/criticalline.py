@@ -181,8 +181,8 @@ def thm2_sweep(ts, cfg: CriticalLineConfig, method: str = "afe"):
     from each block's top height.  method "afe" uses the fast windows,
     which PairEvaluator.rows audits against the oracle; "oracle" evaluates
     every height through the batched Hurwitz route, for bias-free first
-    moments at 8-10x the AFE route's CPU time at T = 1e4 (3.3-4.2 s
-    against 0.36-0.47 s on a two-core Xeon, both threads busy).  The
+    moments at 4-6x the AFE route's CPU time at T = 1e4 (2.2-2.3 s
+    against 0.40-0.54 s on a two-core Xeon, both threads busy).  The
     per-character first moments are reported beside the noisier
     difference, and the count bound is read against c*T rather than N(T).
     """

@@ -28,11 +28,15 @@ audits its AFE values at every _AUDIT_STRIDE-th zero for both theorems.
 l_oracle is the slow independent evaluator through Hurwitz zeta:
 L(s, chi) = q^{-s} sum_{a=1}^{q} chi(a) zeta(s, a/q), certified to 1e-9.
 That sum has one implementation, l_via_hurwitz(table, sigma, ts, tol):
-any sigma, a batch of heights, one Euler-Maclaurin kernel call over all
-the nonzero shifts.  The kernel sizes its main sum itself, the least N at
-which its Backlund remainder bound meets tol (about 0.24 max|t| in the
-critical strip), and stops every shift at one Bernoulli order, each with
-its own bound.  It also serves the Euler-product
+any sigma, a batch of heights.  N is the least main-sum length at which
+the Euler-Maclaurin Backlund remainder bound meets tol (about 0.24
+max|t| in the critical strip).  On a batch the main sums of all the
+nonzero shifts are one Dirichlet sum over k < mN, which wheel_sum forms
+over the mod-6 wheel, with a sin and a cos for a third of the k or
+fewer; each shift keeps its own tail and bound from specfun's
+Euler-Maclaurin kernel (_em_tail), every shift stopping at one Bernoulli
+order.  A single height takes the kernel's per-shift sums.  The table
+must be completely multiplicative.  It also serves the Euler-product
 route of the limit constants, at t = 0.  The oracle contract
 (non-principal character, finite sigma, |t| <= 1e4, one rounding
 allowance, bound <= 1e-9) has one implementation too, _oracle_batch, on
@@ -42,9 +46,11 @@ l_oracle_critical_batch to a batch at sigma = 1/2.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +61,15 @@ from .errors import (
     HeightExceeded,
     OutOfStrip,
 )
-from .specfun import _digamma_real, _hurwitz_critical_batch, x_factor
+from .specfun import (
+    _EPS,
+    _backlund_orders,
+    _digamma_real,
+    _em_tail,
+    _hurwitz_critical_batch,
+    _hurwitz_terms,
+    x_factor,
+)
 # perfbench/spans.py wraps hurwitz_zeta_certified by this module's attribute
 from .specfun import hurwitz_zeta_certified
 
@@ -70,6 +84,17 @@ _GROUP_ROWS = 64
 _ORACLE_BLOCK = 512
 # table indices per oracle audit: rows audits indices 0, 100, 200, ...
 _AUDIT_STRIDE = 100
+# residues mod 6 of the wheel's units r, gcd(r, 6) = 1
+_WHEEL_UNITS = (1, 5)
+# the 3-smooth numbers 2^i 3^j below 2^53, ascending; sorted in Python, as
+# with np.sort importing lpairs raised every run's peak RSS by about 0.4 MB
+_SMOOTH = np.array(sorted(2 ** i * 3 ** j for i in range(53) for j in range(34)
+                          if 2 ** i * 3 ** j < 2 ** 53), dtype=np.int64)
+# heights per block of wheel_sum: its complex block then holds 0.2 MB at
+# modulus 5, t = 1e4 (3,176 units r), and with its tables stays under the
+# 0.46 MB of the per-shift power sums it replaces
+_WHEEL_ROWS = 4
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -234,22 +259,144 @@ class PairEvaluator:
         return out
 
 
+class _Wheel(NamedTuple):
+    """The height-independent part of wheel_sum(table, sigma, ts, top): the
+    units r <= top of the mod-6 wheel with table[r] != 0, the 3-smooth s
+    <= top with table[s] != 0, in descending order, and their cuts
+    floor(top / s) into the r."""
+
+    log_r: np.ndarray  # log r, ascending r
+    coef_r: np.ndarray  # table[r] r^-sigma
+    starts: np.ndarray  # reduceat starts of the segments between distinct cuts
+    segment: np.ndarray  # the segment that ends at each s's cut
+    ilog_s: np.ndarray  # -i log s
+    coef_s: np.ndarray  # table[s] s^-sigma
+
+
+def _wheel(table, sigma: float, top: int) -> _Wheel:
+    """The tables of wheel_sum, in a few dozen numpy calls whatever top is.
+    The units r with table[r] != 0 repeat with period lcm(6, m), one row
+    of the r per period.  The s are _SMOOTH up to top, descending, so that
+    their cuts ascend; where table[2] or table[3] is 0, so is every
+    multiple's, and those s go."""
+    m = len(table)
+    period = 6 * m // math.gcd(6, m)
+    live = (table != 0).tolist()
+    units = [u + v for u in range(0, period, 6) for v in _WHEEL_UNITS if live[(u + v) % m]]
+    count = top // period * len(units) + bisect.bisect_right(units, top % period)
+    r = np.arange(0.0, top + 1, period)[:, None] + np.array(units, dtype=float)
+    amp = r ** -sigma
+    coef = table[[u % m for u in units]]
+    # real products into the halves: a complex product would first cast
+    # amp through numpy's 8,192-element buffers
+    coef_r = np.empty(r.shape, dtype=complex)
+    np.multiply(amp, coef.real, out=coef_r.real)
+    np.multiply(amp, coef.imag, out=coef_r.imag)
+    coef_r, r = coef_r.ravel()[:count], r.ravel()[:count]
+    s = _SMOOTH[np.searchsorted(_SMOOTH, top, side="right") - 1::-1]
+    if not (live[2 % m] and live[3 % m]):
+        s = s[table[s % m] != 0]
+    cut = np.searchsorted(r, top // s, side="right")  # the r <= floor(top / s)
+    new = cut[1:] != cut[:-1]
+    return _Wheel(np.log(r), coef_r, np.concatenate(([0], cut[:-1][new])),
+                  np.concatenate(([0], np.cumsum(new))), -1j * np.log(s),
+                  table[s % m] * s ** -sigma)
+
+
+def wheel_sum(table, sigma: float, ts, top: int) -> np.ndarray:
+    """sum_{1 <= k <= top} table[k mod m] k^{-s} at s = sigma + i t, for a
+    completely multiplicative period-m table (a character, or the twist
+    table of meanvalues), at each height of ts; top >= 1.
+
+    Each k is 2^i 3^j r with gcd(r, 6) = 1, so the sum is
+    sum_s table[s] s^{-s} R(floor(top / s)) over the 3-smooth s, with R(x)
+    the sum of table[r] r^{-s} over the wheel's units r <= x.  The cuts
+    floor(top / s) cut the r into segments; their pairwise sums
+    (np.add.reduceat) and a running sum give R at every cut.  Only the r
+    (a third of the k, fewer where table[r] = 0) and a few dozen s take
+    a sin and a cos.  Each phase -t log r is reduced to [-pi, pi] first,
+    phi - 2 pi rint(phi / 2 pi), where sin and cos run about 1.5x faster;
+    the reduction moves it by at most one ulp of |t log r|.  Heights go
+    _WHEEL_ROWS at a time through one complex block: the phases and their
+    turns are formed in its halves, cos and sin overwrite them, and the
+    products by table[r] r^-sigma are taken in place, so the block holds
+    16 _WHEEL_ROWS bytes per r beside the tables' 24.  Each height's sum
+    is the bits of that height alone.
+    """
+    ts = np.asarray(ts, dtype=float)
+    wheel = _wheel(np.asarray(table), sigma, top)
+    out = np.empty(len(ts), dtype=complex)
+    terms = np.empty((min(len(ts), _WHEEL_ROWS), len(wheel.log_r)), dtype=complex)
+    # the phases go into the cos half, their turns into the sin half
+    cos_sin = terms.view(float).reshape(terms.shape + (2,)).transpose(2, 0, 1)
+    for lo in range(0, len(ts), _WHEEL_ROWS):
+        block = ts[lo:lo + _WHEEL_ROWS]
+        rows = len(block)
+        phi, turns = cos_sin[0, :rows], cos_sin[1, :rows]
+        # one call per row where a call per block would broadcast a row of
+        # the tables, which numpy does through a buffer as large as terms
+        for row, neg_t in zip(phi, (0.0 - block).tolist()):
+            np.multiply(wheel.log_r, neg_t, out=row)
+        np.multiply(phi, 1.0 / _TWO_PI, out=turns)
+        np.rint(turns, out=turns)
+        np.multiply(turns, _TWO_PI, out=turns)
+        np.subtract(phi, turns, out=phi)
+        np.sin(phi, out=turns)
+        np.cos(phi, out=phi)
+        for row in terms[:rows]:
+            np.multiply(row, wheel.coef_r, out=row)
+        cuts = np.add.accumulate(np.add.reduceat(terms[:rows], wheel.starts, axis=1),
+                                 axis=1)
+        smooth = wheel.coef_s * np.exp(block[:, None] * wheel.ilog_s)
+        np.add.reduce(smooth * cuts[:, wheel.segment], axis=1, out=out[lo:lo + rows])
+    return out
+
+
 def l_via_hurwitz(table, sigma: float, ts, tol: float) -> tuple[np.ndarray, float]:
     """m^{-s} sum_a table[a] zeta(s, a/m) at s = sigma + i t for a batch
-    of heights and a period-m value table, with the certified zeta bounds
-    summed and scaled by m^{-sigma}.  One kernel call over every nonzero
-    shift, which sizes N for the batch's largest |t|; the shifts' values
-    and bounds are added in shift order."""
+    of heights and a completely multiplicative period-m table (the
+    characters, meanvalues' twist table), with a certified bound.
+
+    N is the kernel's own, _hurwitz_terms at the batch's largest |t|.
+    The main sums m^{-s} sum_a table[a] sum_{n<N} (n + a/m)^{-s} are one
+    Dirichlet sum, sum_{1 <= k < mN} table[k mod m] k^{-s}, formed over
+    the mod-6 wheel (wheel_sum).  Each nonzero shift a/m keeps its own
+    Euler-Maclaurin tail and its bound formula term for term (specfun
+    _em_tail): Backlund truncation, 4x the rounding allowance, and eps
+    times the worst of its tail's rounding weight plus 3 |value|, where
+    the value is now the L-value.  The wheel's per-term phase error is
+    fl(t log r) plus at most one ulp of |t log r| from its range
+    reduction, and the smooth factor's fl(t log s): within the
+    allowance's per-term model of |t| log n eps with its factor-4 margin.
+    A single height (l_oracle, the constants at t = 0) takes the
+    kernel's per-shift main sums instead, _hurwitz_critical_batch: the
+    wheel's tables cost a few dozen numpy calls, more than they save on
+    one pass.  The shifts' rows (their tails alone on the wheel) are added
+    in shift order, and the bounds summed and scaled by m^{-sigma}.
+    """
     ts = np.asarray(ts, dtype=float)
+    table = np.asarray(table)
     m = len(table)
-    nonzero = [a for a in range(1, m) if table[a] != 0]
-    values, bounds = _hurwitz_critical_batch(ts, np.array(nonzero) / m, tol, sigma)
+    nonzero = np.flatnonzero(table[1:]) + 1
+    if len(ts) == 1:
+        rows, bounds = _hurwitz_critical_batch(ts, nonzero / m, tol, sigma)
+    else:
+        tmax = float(np.maximum.reduce(np.abs(ts)))
+        backlund = _backlund_orders(tmax, sigma)
+        n_terms = _hurwitz_terms(tmax, sigma, tol, backlund)
+        rows = np.zeros((len(nonzero), len(ts)), dtype=complex)
+        bounds, sizes = _em_tail(ts, nonzero / m, tol, sigma, n_terms, backlund, rows)
     total = np.zeros(len(ts), dtype=complex)
+    for a, row in zip(nonzero.tolist(), rows):
+        total += table[a] * row
+    values = np.exp(-(sigma + 1j * ts) * math.log(m)) * total
+    if len(ts) > 1:
+        values += wheel_sum(table, sigma, ts, m * n_terms - 1)
+        bounds += _EPS * np.maximum.reduce(sizes + 3.0 * np.abs(values), axis=1)
     bound = 0.0
-    for a, vals, b in zip(nonzero, values, bounds.tolist()):
-        total += table[a] * vals
+    for b in bounds.tolist():
         bound += b
-    return np.exp(-(sigma + 1j * ts) * math.log(m)) * total, m ** -sigma * bound
+    return values, m ** -sigma * bound
 
 
 def _cpu_count() -> int:

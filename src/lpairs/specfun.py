@@ -8,13 +8,19 @@ tested domain); zeta and Hurwitz zeta are Euler-Maclaurin with an
 explicit Backlund remainder bound plus a rounding allowance, and the
 certified-bound variants return that bound alongside the value.
 
-Only double precision is used.  Euler-Maclaurin has one body,
-_hurwitz_critical_batch(ts, shifts, tol, sigma, n_terms=None), which sums
-its N main-sum terms one height at a time for every shift a at once, in
-one shifts x N buffer, and stops every shift at one Bernoulli order, whose
-Pochhammer products it forms once for all the shifts; an L-value is one
-pass over its character's nonzero shifts.  numpy releases the GIL over
-each row, so threads can run batches side by side.
+Only double precision is used.  Euler-Maclaurin has two parts.  The
+main sums, _power_sums, sum the N terms one height at a time for every
+shift a at once, in one shifts x N buffer.  The tail, _em_tail, adds the
+integral, the half term and the Bernoulli corrections, stopping every
+shift at one order whose Pochhammer products it forms once for all the
+shifts, and returns each shift's bound terms.
+_hurwitz_critical_batch(ts, shifts, tol, sigma, n_terms=None) is the two
+together, the route of the zero engine's Z and of the scalar Hurwitz
+zeta, whose bits the committed zero tables pin, and of the L-route at a
+single height.  On a batch the L-route (lfunc.l_via_hurwitz) shares the
+tail only: it forms the main sums of all its shifts as one Dirichlet sum
+over a wheel.  numpy releases the GIL over each row, so threads can run
+batches side by side.
 N has two rules.  By default the kernel takes _hurwitz_terms(max|t|,
 sigma, tol), the least N at which its own Backlund bound meets tol (about
 0.24 max|t| in the critical strip); the Hurwitz L-route and the scalar
@@ -279,9 +285,8 @@ def _hurwitz_terms(tmax: float, sigma: float, tol: float, backlund=None) -> int:
 
 
 def _power_sums(ts: np.ndarray, shifts: np.ndarray, sigma: float, n_terms: int):
-    """(sums, squares): the Euler-Maclaurin main sums
-    sum_{n<N} (n + a)^{-sigma} e^{-i t log(n + a)}, shifts x heights, and
-    each shift's sum_{n<N} (n + a)^{-2 sigma} for the rounding allowance.
+    """The Euler-Maclaurin main sums sum_{n<N} (n + a)^{-sigma}
+    e^{-i t log(n + a)}, shifts x heights.
 
     One height per pass, formed in place in one shifts x N buffer: each
     row's pairwise sum (a fixed reduction order; BLAS matvec would not be
@@ -294,7 +299,6 @@ def _power_sums(ts: np.ndarray, shifts: np.ndarray, sigma: float, n_terms: int):
     0.0 - t keeps the phase +0 at t = 0.
     """
     base = np.arange(n_terms, dtype=float) + shifts[:, None]
-    squares = np.add.reduce(base ** (-2.0 * sigma), axis=1).tolist()
     logb = np.log(base)
     amp = base ** -sigma
     del base  # the buffers below can take its memory
@@ -309,7 +313,59 @@ def _power_sums(ts: np.ndarray, shifts: np.ndarray, sigma: float, n_terms: int):
         np.cos(cos, out=cos)
         np.multiply(cos_sin, amp, out=halves)
         np.add.reduce(terms, axis=1, out=value)
-    return sums.T, squares
+    return sums.T
+
+
+def _em_tail(ts: np.ndarray, shifts: np.ndarray, tol: float, sigma: float,
+             n_terms: int, backlund, values: np.ndarray):
+    """Adds the Euler-Maclaurin tail of zeta(sigma + i t, a) after the
+    N = n_terms main-sum terms into values (shifts x heights, in place):
+    the integral, the half term and K Bernoulli corrections.  backlund is
+    _backlund_orders(max|t|, sigma).  Returns (bounds, sizes): bounds[j]
+    is shift j's Backlund truncation at K plus 4x its rounding allowance,
+    and sizes[j, i] the tail's worst-case rounding weight at height i,
+    (2 (|s| + 2K) log(N + a) + 8K + 11) times the tail's size.  The
+    caller's bound adds eps times the worst over the heights of sizes +
+    3 |value|, with the value it returns: zeta(s, a) in
+    _hurwitz_critical_batch, the L-value in lfunc.l_via_hurwitz.
+    """
+    tmax = float(np.maximum.reduce(np.abs(ts)))
+    k, p, log_c = backlund
+    s = sigma + 1j * ts
+    na = n_terms + shifts
+    # N + a as a complex column: each power then skips a cast
+    na_c = na.astype(complex)[:, None]
+    integral = na_c ** (1.0 - s) / (s - 1.0)
+    half = 0.5 * na_c ** (-s)
+    values += integral + half
+    tail = np.abs(integral) + np.abs(half)
+
+    log_na = np.log(na)[:, None]
+    log_trunc = log_c - p * log_na
+    meets = log_trunc <= math.log(tol)
+    reached = meets.any(axis=1)
+    if not reached.all():
+        a = float(shifts[reached.argmin()])
+        raise AccuracyLoss(f"Euler-Maclaurin remainder did not reach {tol:g} at "
+                           f"sigma={sigma}, |t| <= {tmax}, a={a}, N={n_terms}")
+    stop = int(meets.argmax(axis=1).max())
+    order = int(k[stop])
+    two_k = _TWO_K[:order]
+    na_c = na_c[:, :, None]
+    for lo in range(0, len(ts), _TAIL_BLOCK):
+        sb = s[lo:lo + _TAIL_BLOCK]
+        # row k - 1 is order k: B_2k / (2k)! s (s + 1) ... (s + 2k - 2)
+        # (N + a)^(-s - 2k + 1)
+        poch = np.cumprod(np.concatenate(
+            (sb[None], (sb + (two_k[:-1] - 1.0)) * (sb + two_k[:-1]))), axis=0)
+        corr = _B2K_OVER_FACT[:order, None] * poch * np.power(na_c, -sb - (two_k - 1.0))
+        values[:, lo:lo + _TAIL_BLOCK] += corr.sum(axis=1)
+        tail[:, lo:lo + _TAIL_BLOCK] += np.abs(corr).sum(axis=1)
+    base = np.arange(n_terms, dtype=float) + shifts[:, None]
+    squares = np.add.reduce(base ** (-2.0 * sigma), axis=1)
+    rounding = _EPS * (tmax + 2.0) * np.log(na + 2.0) * np.sqrt(squares + 1.0)
+    sizes = (2.0 * (np.abs(s) + 2.0 * order) * log_na + 8.0 * order + 11.0) * tail
+    return np.exp(log_trunc[:, stop]) + 4.0 * rounding, sizes
 
 
 def _hurwitz_critical_batch(ts: np.ndarray, shifts, tol: float, sigma: float,
@@ -317,9 +373,12 @@ def _hurwitz_critical_batch(ts: np.ndarray, shifts, tol: float, sigma: float,
     """zeta(sigma + i t, a) over a batch of heights and a batch of shifts a,
     with one shared truncation.
 
-    The one Euler-Maclaurin body of the workbench: the scalar routes call
-    it on one height and one shift, the L-route on all the nonzero shifts
-    of its character.  n_terms = N terms form the main sum
+    The Euler-Maclaurin route of the zero engine's Z and of the scalar
+    Hurwitz zeta, which call it on one shift, and of the L-route at a
+    single height: the main sums (_power_sums) and then the tail
+    (_em_tail).  On a batch the L-route (lfunc.l_via_hurwitz) shares the
+    tail and its bound terms, but forms the main sums of all its shifts
+    as one Dirichlet sum over the mod-6 wheel (lfunc.wheel_sum).  n_terms = N terms form the main sum
     sum_n (n + a)^{-sigma} e^{-i t log(n + a)} one height at a time, for
     every shift at once, in one shifts x N buffer (_power_sums), so memory
     is O(shifts N) for any batch of heights.  Each term's phase
@@ -357,44 +416,12 @@ def _hurwitz_critical_batch(ts: np.ndarray, shifts, tol: float, sigma: float,
     """
     shifts = np.asarray(shifts, dtype=float)
     tmax = float(np.maximum.reduce(np.abs(ts)))
-    k, p, log_c = backlund = _backlund_orders(tmax, sigma)
+    backlund = _backlund_orders(tmax, sigma)
     if n_terms is None:
         n_terms = _hurwitz_terms(tmax, sigma, tol, backlund)
-    values, squares = _power_sums(ts, shifts, sigma, n_terms)
-    s = sigma + 1j * ts
-    na = n_terms + shifts
-    # N + a as a complex column: each power then skips a cast
-    na_c = na.astype(complex)[:, None]
-    integral = na_c ** (1.0 - s) / (s - 1.0)
-    half = 0.5 * na_c ** (-s)
-    values += integral + half
-    tail = np.abs(integral) + np.abs(half)
-
-    log_na = np.log(na)[:, None]
-    log_trunc = log_c - p * log_na
-    meets = log_trunc <= math.log(tol)
-    reached = meets.any(axis=1)
-    if not reached.all():
-        a = float(shifts[reached.argmin()])
-        raise AccuracyLoss(f"Euler-Maclaurin remainder did not reach {tol:g} at "
-                           f"sigma={sigma}, |t| <= {tmax}, a={a}, N={n_terms}")
-    stop = int(meets.argmax(axis=1).max())
-    order = int(k[stop])
-    two_k = _TWO_K[:order]
-    na_c = na_c[:, :, None]
-    for lo in range(0, len(ts), _TAIL_BLOCK):
-        sb = s[lo:lo + _TAIL_BLOCK]
-        # row k - 1 is order k: B_2k / (2k)! s (s + 1) ... (s + 2k - 2)
-        # (N + a)^(-s - 2k + 1)
-        poch = np.cumprod(np.concatenate(
-            (sb[None], (sb + (two_k[:-1] - 1.0)) * (sb + two_k[:-1]))), axis=0)
-        corr = _B2K_OVER_FACT[:order, None] * poch * np.power(na_c, -sb - (two_k - 1.0))
-        values[:, lo:lo + _TAIL_BLOCK] += corr.sum(axis=1)
-        tail[:, lo:lo + _TAIL_BLOCK] += np.abs(corr).sum(axis=1)
-    worst = np.max((2.0 * (np.abs(s) + 2.0 * order) * log_na + 8.0 * order + 11.0) * tail
-                   + 3.0 * np.abs(values), axis=1)
-    rounding = _EPS * (tmax + 2.0) * np.log(na + 2.0) * np.sqrt(np.add(squares, 1.0))
-    return values, np.exp(log_trunc[:, stop]) + 4.0 * rounding + _EPS * worst
+    values = _power_sums(ts, shifts, sigma, n_terms)
+    bounds, sizes = _em_tail(ts, shifts, tol, sigma, n_terms, backlund, values)
+    return values, bounds + _EPS * np.maximum.reduce(sizes + 3.0 * np.abs(values), axis=1)
 
 
 def hurwitz_zeta_certified(s, a) -> tuple[complex, float]:

@@ -270,6 +270,17 @@ def test_empty_zero_file_covers_no_height_above_the_floor(tmp_path, capsys):
     assert "only covers heights <= 10.0" in capsys.readouterr().err
 
 
+def test_zeros_below_the_first_ordinate_print_nothing(tmp_path, capsys):
+    # no ordinate <= T used to print a lone newline, an empty CSV row
+    path = tmp_path / "empty.txt"
+    path.write_text("# empty\n")
+    out = tmp_path / "z.txt"
+    assert run(["zeros", "--T", "10", "--zeros", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(["zeros", "--T", "10", "--zeros", str(path), "--output", str(out)]) == 0
+    assert out.read_bytes() == b""
+
+
 def test_console_entry_point(src_env):
     proc = subprocess.run([sys.executable, "-m", "lpairs.cli", "--version"],
                           capture_output=True, text=True, env=src_env)

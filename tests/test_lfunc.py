@@ -166,6 +166,93 @@ def test_batch_oracle_checks_every_height_against_the_ceiling(chi5):
         l_oracle_critical_batch(np.array([100.0, math.nan]), chi5)
 
 
+# (table, N) of the wheel-sum checks: at top = mN - 1, the L-route's, a cut
+# floor(top / s) falls exactly on a unit r (204 = 12 x 17, 104 = 8 x 13)
+WHEEL_TABLES = ((character(3, 1), 35), (character(5, 2), 41), (character(5, 1), 41))
+WHEEL_POINTS = [(sigma, t) for sigma in (0.5, 0.75, 1.3) for t in (0.0, 14.1, 5000.3, 9999.9)]
+
+
+@pytest.fixture(scope="module")
+def literal_sums():
+    """{(q, j, top, sigma, t): (sum_{k <= top} chi(k) k^-s at 30 digits, allowance)}
+    at top = mN - 1 and at mN, where chi(top + 1) = 1.  The allowance is
+    the L-route's rounding model for top terms, 4 eps (t + 2) log(top + 2)
+    sqrt(sum |chi(k)|^2 k^(-2 sigma) + 1)."""
+    mp = pytest.importorskip("mpmath")
+    sums = {}
+    for chi, n in WHEEL_TABLES:
+        q, table = chi.modulus, chi.value_table()
+        for top in (q * n - 1, q * n):
+            k = np.arange(1, top + 1)
+            for sigma, t in WHEEL_POINTS:
+                with mp.workdps(30):
+                    s = mp.mpc(sigma, t)
+                    ref = complex(mp.fsum(mp.mpc(complex(table[i % q])) * mp.power(i, -s)
+                                          for i in range(1, top + 1) if i % q))
+                squares = float(np.sum(np.abs(table[k % q]) ** 2 * k ** (-2.0 * sigma)))
+                allowance = (4.0 * 2.220446049250313e-16 * (t + 2.0) * math.log(top + 2.0)
+                             * math.sqrt(squares + 1.0))
+                sums[(q, chi.index, top, sigma, t)] = ref, allowance
+    return sums
+
+
+def _wheel_misses(literal_sums, chi, tops) -> list:
+    """The points where wheel_sum is off the literal sum by more than the
+    allowance."""
+    table = chi.value_table()
+    return [key for key, (ref, allowance) in literal_sums.items()
+            if key[:2] == (chi.modulus, chi.index) and key[2] in tops
+            and abs(lfunc.wheel_sum(table, key[3], [key[4]], key[2])[0] - ref) > allowance]
+
+
+def test_wheel_sum_matches_the_literal_dirichlet_sum(literal_sums):
+    for chi, n in WHEEL_TABLES:
+        q, table = chi.modulus, chi.value_table()
+        top = q * n - 1
+        smooth = math.gcd(top, 2 ** 20 * 3 ** 20)
+        assert smooth > 1 and math.gcd(top // smooth, 6 * q) == 1 and table[smooth % q] != 0
+        assert _wheel_misses(literal_sums, chi, (top, top + 1)) == []
+        # a batch gives each height the bits of that height alone
+        ts = np.array([t for _, t in WHEEL_POINTS[:4]] * 2)
+        batch = lfunc.wheel_sum(table, 0.75, ts, top)
+        alone = [lfunc.wheel_sum(table, 0.75, [t], top)[0] for t in ts]
+        assert batch.tolist() == alone
+
+
+def test_wheel_sum_check_fires_on_planted_defects(literal_sums, monkeypatch):
+    wheel = lfunc._wheel
+    chi5_1 = character(5, 1)
+    # the units r = 5 (mod 6) are dropped: every point misses
+    with monkeypatch.context() as m:
+        m.setattr(lfunc, "_WHEEL_UNITS", (1,))
+        for chi, n in WHEEL_TABLES:
+            tops = (chi.modulus * n - 1, chi.modulus * n)
+            assert len(_wheel_misses(literal_sums, chi, tops)) == 2 * len(WHEEL_POINTS)
+    # cuts at floor((top + 1) / s), which admit k = top + 1: every point
+    # misses at top = mN, where chi(top + 1) = 1.  At the L-route's
+    # top = mN - 1 the admitted k = mN has chi(mN) = 0, and nothing changes
+    with monkeypatch.context() as m:
+        m.setattr(lfunc, "_wheel", lambda table, sigma, top: wheel(table, sigma, top + 1))
+        for chi, n in WHEEL_TABLES:
+            top = chi.modulus * n
+            assert len(_wheel_misses(literal_sums, chi, (top,))) == len(WHEEL_POINTS)
+            assert _wheel_misses(literal_sums, chi, (top - 1,)) == []
+
+    # chi(2) = i conjugated in the smooth factor s = 2 of the complex 5:1
+    def conjugated_two(table, sigma, top):
+        tables = wheel(table, sigma, top)
+        coef_s = tables.coef_s.copy()
+        two = int(np.argmin(np.abs(tables.ilog_s.imag + math.log(2.0))))
+        coef_s[two] = coef_s[two].conjugate()
+        return tables._replace(coef_s=coef_s)
+
+    assert chi5_1(2) == 1j
+    with monkeypatch.context() as m:
+        m.setattr(lfunc, "_wheel", conjugated_two)
+        tops = (5 * 41 - 1, 5 * 41)
+        assert len(_wheel_misses(literal_sums, chi5_1, tops)) == 2 * len(WHEEL_POINTS)
+
+
 def test_batch_oracle_enforces_its_certificate(chi3, chi5, monkeypatch):
     # a worst bound above 1e-9 raises instead of returning.  A real input:
     # at sigma = 0.05, t = 1e4 the power sums' rounding allowance passes it

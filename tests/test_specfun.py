@@ -276,7 +276,7 @@ class TestEulerMaclaurinKernel:
         for n_terms in (specfun._hurwitz_terms(t0 + 100.0, sigma, 1e-11),
                         specfun._em_terms(t0 + 100.0)):
             main, value = _one_shot_kernel(ts, a, 1e-11, sigma, n_terms)
-            sums, _ = specfun._power_sums(ts, np.array([a]), sigma, n_terms)
+            sums = specfun._power_sums(ts, np.array([a]), sigma, n_terms)
             assert np.array_equal(sums[0], main)
             values, bounds = specfun._hurwitz_critical_batch(ts, [a], 1e-11, sigma,
                                                              n_terms)
@@ -323,9 +323,11 @@ class TestEulerMaclaurinKernel:
                 ref = complex(mp.zeta(mp.mpc(sigma, ts[i]), mp.mpf(a)))
                 assert abs(values[j, i] - ref) <= bounds[j]
 
-    def test_l_route_adds_the_shifts_in_order(self):
-        # one kernel call over the nonzero shifts: its rows, added in shift
-        # order, bit for bit
+    def test_l_route_agrees_with_the_shift_rows(self):
+        # on a batch the L-route sums its main sums over the wheel, not in
+        # the kernel's shift rows: m^-s sum_a table[a] (row a) agrees with it
+        # within both bounds, and its bound keeps every per-shift term, the
+        # value's eps 3 |zeta(s, a)| aside, which it takes at the L-value
         ts = np.linspace(9000.0, 9100.0, 40)
         for chi in (character(3, 1), character(5, 2)):
             table = chi.value_table()
@@ -333,13 +335,23 @@ class TestEulerMaclaurinKernel:
             values, bound = l_via_hurwitz(table, 0.5, ts, 1e-11)
             rows, bounds = specfun._hurwitz_critical_batch(
                 ts, np.arange(1, m) / m, 1e-11, 0.5)
-            total = np.zeros(len(ts), dtype=complex)
+            total = np.exp(-(0.5 + 1j * ts) * math.log(m)) * np.sum(
+                table[1:, None] * rows, axis=0)
+            assert np.max(np.abs(values - total)) <= bound + m ** -0.5 * np.sum(bounds)
+            value_terms = 3.0 * specfun._EPS * np.max(np.abs(rows), axis=1)
+            assert bound >= m ** -0.5 * np.sum(bounds - value_terms)
+            # a single height takes the kernel's rows, added in shift order
+            one, one_bound = l_via_hurwitz(table, 0.5, ts[-1:], 1e-11)
+            rows, bounds = specfun._hurwitz_critical_batch(
+                ts[-1:], np.arange(1, m) / m, 1e-11, 0.5)
+            total = np.zeros(1, dtype=complex)
             ref_bound = 0.0
             for a in range(1, m):
                 total += table[a] * rows[a - 1]
                 ref_bound += float(bounds[a - 1])
-            assert np.array_equal(values, np.exp(-(0.5 + 1j * ts) * math.log(m)) * total)
-            assert bound == m ** -0.5 * ref_bound
+            assert one.tobytes() == (np.exp(-(0.5 + 1j * ts[-1:]) * math.log(m))
+                                     * total).tobytes()
+            assert one_bound == m ** -0.5 * ref_bound
 
     def test_remainder_sized_terms_stay_within_float_range(self):
         # at |t| = 1e5 the highest orders' Pochhammer products overflow, and
